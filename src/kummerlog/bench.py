@@ -18,9 +18,14 @@ from . import oracle
 from .digits import ExponentDigits, agreement_bound, relaxed_sum_bound, sample_bounded_sum
 from .extfield import build_artin_schreier, build_kummer, encode_digits, ext_pow
 from .ff import build_field
-from .solver import DlpInstance, solve_bounded, solve_listdecode
+from .solver import (DlpInstance, NoCandidate, NotSplit, RootNotInTable, solve_bounded,
+                     solve_listdecode)
 
 _BSGS_STEP_BUDGET = 4096
+
+# a miss counts as an unsuccessful trial; any other exception is a fault and propagates
+_MISSES = (NotSplit, RootNotInTable, NoCandidate,
+           oracle.BudgetExceeded, oracle.NotInSubgroup, oracle.NotFound)
 
 
 def _contexts(suite: str):
@@ -114,8 +119,7 @@ def run_bench(suite: str, trials: int, seed: int) -> list[tuple]:
                         ok = ext_pow(ctx.generator, got) == target
                     if ok:
                         successes += 1
-                except (oracle.BudgetExceeded, oracle.NotInSubgroup, oracle.NotFound,
-                        ValueError, RuntimeError):
+                except _MISSES:
                     pass
                 times.append((time.perf_counter() - t0) * 1000.0)
             rows.append((method, q, n, sum_bound, trials, successes,

@@ -59,7 +59,31 @@ def _context_doc(ctx) -> dict:
     return doc
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_shape(doc):
+    """Reject an instance document of the wrong shape before any field is built."""
+    if not isinstance(doc, dict):
+        raise ValueError("instance file must hold a JSON object")
+    for key in ("p", "d", "n"):
+        if key in doc and not _is_int(doc[key]):
+            raise ValueError(f"{key!r} must be an integer")
+    if doc.get("d", 1) < 1:
+        raise ValueError("'d' must be >= 1")
+    for key in ("a", "b", "base_modulus"):
+        v = doc.get(key, [])
+        if not isinstance(v, list) or not all(_is_int(c) for c in v):
+            raise ValueError(f"{key!r} must be a list of integers")
+    target = doc.get("target", [])
+    if not isinstance(target, list) or not all(
+            isinstance(c, list) and all(_is_int(x) for x in c) for c in target):
+        raise ValueError("'target' must be a list of coefficient lists of integers")
+
+
 def _load_context(doc: dict):
+    _check_shape(doc)
     p, d = doc["p"], doc.get("d", 1)
     if d > 1:
         field = build_field(p, d, modulus=doc["base_modulus"])

@@ -317,19 +317,10 @@ def frobenius_power(ctx, i: int) -> ExtElement:
 def ext_pow(u: ExtElement, e) -> ExtElement:
     """Generic square-and-multiply power, the verification oracle.
 
-    Accepts a plain nonnegative int or an ExponentDigits; the digit form is
-    evaluated by base-q Horner without assembling the integer exponent.
+    Accepts a plain nonnegative int or an ExponentDigits, taken as its integer
+    value; it never consults the conjugate table.
     """
-    if isinstance(e, int):
-        return u.pow_int(e)
-    if u.is_zero() and not any(e.digits):
-        raise ff.ZeroToZero("0^0 is undefined here")
-    acc = u.ctx.one_element
-    for digit in reversed(e.digits):
-        acc = acc.pow_int(e.base) if not acc.is_zero() else acc
-        if digit:
-            acc = acc * u.pow_int(digit)
-    return acc
+    return u.pow_int(e if isinstance(e, int) else e.to_int())
 
 
 def encode_digits(ctx, digits: ExponentDigits) -> ExtElement:

@@ -226,17 +226,9 @@ class Field:
         return self._exp[(self.q - 1) - self._log[x]]
 
     def pow_(self, x: int, e) -> int:
-        """x^e for e a nonnegative int or a digit vector (base-b Horner)."""
+        """x^e for e a nonnegative int or a digit vector (taken as its integer value)."""
         if not isinstance(e, int):
-            if x == 0 and not any(e.digits):
-                raise ZeroToZero("0^0 is undefined here")
-            base = e.base
-            r = self.one
-            for digit in reversed(e.digits):
-                r = self.pow_(r, base)
-                if digit:
-                    r = self.mul(r, self.pow_(x, digit))
-            return r
+            e = e.to_int()
         if e < 0:
             raise ValueError("negative exponent; use inv explicitly")
         if e == 0:

@@ -14,7 +14,6 @@ yields a minimal-weighted-degree interpolation polynomial.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -32,11 +31,6 @@ class NoSolution(RuntimeError):
     """Interpolation system had no kernel; cannot occur for valid params."""
 
 
-class Degenerate(RuntimeError):
-    """A y-root branch became identically zero with too many completions."""
-
-
-_DEGENERATE_ENUM_LIMIT = 256
 _MAX_MULTIPLICITY = 512
 
 
@@ -290,10 +284,7 @@ def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
         vec = _kernel_vector_prime(rows, field.p)
     else:
         vec = _kernel_vector_generic(field, rows)
-    coeffs = {mono: v for mono, v in zip(monos, vec) if v != field.zero}
-    if not coeffs:  # pragma: no cover - kernel vectors are nonzero by construction
-        raise NoSolution("kernel vector collapsed to zero")
-    return BivariatePoly(field, k, coeffs)
+    return BivariatePoly(field, k, dict(zip(monos, vec)))
 
 
 # -- Roth-Ruckenstein y-root extraction ----------------------------------------------
@@ -356,24 +347,11 @@ def y_roots(Q: BivariatePoly, k: int | None = None,
     rng = rng if rng is not None else random.Random(0x27182818)
     found: list[tuple] = []
 
-    def emit_all(prefix: list, depth: int):
-        remaining = k + 1 - depth
-        if field.q ** remaining > _DEGENERATE_ENUM_LIMIT:
-            raise Degenerate("zero branch with too many completions to enumerate")
-        for tail in itertools.product(field.elements(), repeat=remaining):
-            found.append(tuple(prefix) + tail)
-
+    # y -> xy + c keeps a nonzero Q nonzero, and stripping x leaves an x^0
+    # term, so every branch has a nonzero section Q(0, y)
     def rec(cur: BivariatePoly, depth: int, prefix: list):
-        if cur.is_zero():
-            # unreachable from a nonzero root polynomial, kept defensively
-            emit_all(prefix, depth)
-            return
         cur = _strip_x(cur)
-        section = _x0_section(cur)
-        if section.is_zero():  # pragma: no cover - stripping leaves an x^0 term
-            emit_all(prefix, depth)
-            return
-        for c, _mult in _poly_roots(section, rng):
+        for c, _mult in _poly_roots(_x0_section(cur), rng):
             if depth == k:
                 if _y_section(cur, c).is_zero():
                     found.append(tuple(prefix) + (c,))

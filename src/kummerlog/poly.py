@@ -261,17 +261,13 @@ def ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def powmod(f: Poly, e, m: Poly) -> Poly:
-    """f^e mod m, with e a nonnegative int or a digit vector."""
+    """f^e mod m by square-and-multiply, with e a nonnegative int or a digit
+    vector (taken as its integer value)."""
     if m.degree < 1:
         raise DivisionByZeroPoly("modulus must have degree >= 1")
     field = f.field
     if not isinstance(e, int):
-        r = Poly.one(field)
-        for digit in reversed(e.digits):
-            r = powmod(r, e.base, m)
-            if digit:
-                r = (r * powmod(f, digit, m)) % m
-        return r
+        e = e.to_int()
     if e < 0:
         raise ValueError("negative exponent")
     result = Poly.one(field)
@@ -285,10 +281,6 @@ def powmod(f: Poly, e, m: Poly) -> Poly:
     return result
 
 
-def _field_order(field) -> int:
-    return field.q
-
-
 def is_irreducible(f: Poly) -> bool:
     """Rabin's test: x^{q^n} = x mod f and gcd(x^{q^{n/r}} - x, f) = 1."""
     n = f.degree
@@ -297,7 +289,7 @@ def is_irreducible(f: Poly) -> bool:
     if n == 1:
         return True
     field = f.field
-    q = _field_order(field)
+    q = field.q
     f = f.make_monic()[1]
     x = Poly.x(field)
     frob = [x % f]
@@ -361,7 +353,7 @@ def _squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 def _ddf(f: Poly) -> list[tuple[Poly, int]]:
     """Distinct-degree split of a monic squarefree f: [(product, factor degree)]."""
     field = f.field
-    q = _field_order(field)
+    q = field.q
     x = Poly.x(field)
     out = []
     h = x % f
@@ -384,7 +376,7 @@ def _edf(f: Poly, r: int, rng: random.Random) -> list[Poly]:
     if f.degree == r:
         return [f]
     field = f.field
-    q = _field_order(field)
+    q = field.q
     one = Poly.one(field)
     while True:
         u = Poly(field, [field.random_element(rng) for _ in range(f.degree)])

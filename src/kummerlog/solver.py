@@ -1,11 +1,14 @@
 """Discrete-log solvers for the prescribed base g = alpha + b.
 
-The direct solver factors the representative polynomial of the target and
-reads the exponent digits off the conjugate linear factors; it covers digit
-sums up to the extension degree (the sum-equals-degree boundary is patched
-through the constant term).  The relaxed solver reduces to list decoding:
-candidates t turn the target into f + modulus*t, which must again split into
-conjugate factors.  Everything returned is verified by re-exponentiation.
+All three solvers share one candidate pipeline.  A candidate curve t turns
+the target f into f + modulus*t, which must split into conjugate linear
+factors; the digits are read off those factors.  t = 0 is the direct
+read-off (digit sums up to the extension degree), the Kummer boundary
+constant patches the sum-equals-degree case, and the relaxed solver adds the
+Artin-Schreier t = 1 and the Guruswami-Sudan decoded curves, decoding only
+after the earlier candidates fail.  Each candidate is read off once, and
+everything returned, BSGS fallback included, is verified by one
+re-exponentiation check.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from . import oracle
 from .digits import (ExponentDigits, agreement_bound, curve_degree_bound,
                      relaxed_sum_bound)
 from .extfield import ContextMismatch, ExtElement, encode_digits
-from .listdecode import AgreementTooSmall, agreement, list_decode
+from .listdecode import agreement, list_decode
 from .poly import Poly, factor
 
 
@@ -116,6 +119,59 @@ def _boundary_constant(ctx, f: Poly):
     return base.mul(base.sub(f0, bn), base.inv(ctx.a))
 
 
+def _candidates(inst: DlpInstance, rng: random.Random, relaxed: bool):
+    """Curves t, each with the method it earns, in the order they are tried.
+
+    t = 0 is the digit sum <= n read-off and the Kummer boundary constant the
+    sum = n patch.  The relaxed regime adds the Artin-Schreier t = 1 (digit
+    sum p) and then the decoded curves, best agreement first; the decoder
+    runs only once every earlier candidate has been consumed.
+    """
+    ctx = inst.ctx
+    base = ctx.base
+    yield Poly.zero(base), "direct"
+    if ctx.kind == "kummer":
+        lam = _boundary_constant(ctx, inst.target.poly)
+        if lam != base.zero:
+            yield Poly.constant(base, lam), "boundary"
+    if not relaxed:
+        return
+    if ctx.kind != "kummer":
+        # digit sum p turns f into f + (x^p - x - a); the product stays monic
+        yield Poly.one(base), "list_decode"
+    n = ctx.degree
+    points = build_points(inst)
+    found = list_decode(base, points, max(1, curve_degree_bound(n)), agreement_bound(n), rng)
+    found.sort(key=lambda t: (-agreement(t, points), t.sort_key()))
+    for t in found:
+        yield t, "list_decode"
+
+
+def _verified(inst: DlpInstance, digits: ExponentDigits, method: str) -> SolveOutcome:
+    if encode_digits(inst.ctx, digits) != inst.target:  # pragma: no cover - defensive
+        raise VerificationFailed(f"digits {tuple(digits)} from {method} failed re-exponentiation")
+    return SolveOutcome(digits, method)
+
+
+def _read_off(inst: DlpInstance, rng: random.Random, relaxed: bool) -> SolveOutcome:
+    """Read off f + modulus*t for each distinct candidate t; the first that
+    splits is verified and returned, else the last read-off failure is raised."""
+    ctx = inst.ctx
+    f = inst.target.poly
+    seen = set()
+    for t, method in _candidates(inst, rng, relaxed):
+        if t.coeffs in seen:
+            continue
+        seen.add(t.coeffs)
+        try:
+            digits = _read_digits(ctx, f + ctx.modulus * t, rng)
+        except (NotSplit, RootNotInTable) as exc:
+            failure = exc
+            continue
+        return _verified(inst, digits, method)
+    raise failure
+
+
 def solve_bounded(inst: DlpInstance, rng: random.Random | None = None) -> SolveOutcome:
     """Recover e when its digit sum is at most the extension degree.
 
@@ -123,27 +179,7 @@ def solve_bounded(inst: DlpInstance, rng: random.Random | None = None) -> SolveO
     correction; the returned digit vector is unique among digit sums <= n.
     """
     rng = rng if rng is not None else random.Random(0xD1007)
-    ctx = inst.ctx
-    f = inst.target.poly
-    attempts = [(f, "direct")]
-    if ctx.kind == "kummer":
-        lam = _boundary_constant(ctx, f)
-        if lam != ctx.base.zero:
-            attempts.append((f + ctx.modulus.mul_scalar(lam), "boundary"))
-    failures = []
-    for F, tag in attempts:
-        try:
-            digits = _read_digits(ctx, F, rng)
-        except (NotSplit, RootNotInTable) as exc:
-            failures.append(exc)
-            continue
-        if encode_digits(ctx, digits) != inst.target:  # pragma: no cover - defensive
-            raise VerificationFailed(f"digits {tuple(digits)} failed re-exponentiation")
-        return SolveOutcome(digits, tag)
-    for exc in failures:
-        if isinstance(exc, NotSplit):
-            raise exc
-    raise failures[-1]
+    return _read_off(inst, rng, relaxed=False)
 
 
 def solve_listdecode(inst: DlpInstance, rng: random.Random | None = None) -> SolveOutcome:
@@ -154,95 +190,46 @@ def solve_listdecode(inst: DlpInstance, rng: random.Random | None = None) -> Sol
     input, since t = 0 and the boundary constant are tried first.
     """
     rng = rng if rng is not None else random.Random(0x115D)
-    ctx = inst.ctx
-    base = ctx.base
-    n = ctx.degree
-    f = inst.target.poly
-    k = max(1, curve_degree_bound(n))
-    A = agreement_bound(n)
-    points = build_points(inst)
-
-    candidates = [Poly.zero(base)]
-    if ctx.kind == "kummer":
-        lam = _boundary_constant(ctx, f)
-        if lam != base.zero:
-            candidates.append(Poly.constant(base, lam))
-    else:
-        # digit sum p turns f into f + (x^p - x - a); the product stays monic
-        candidates.append(Poly.one(base))
     try:
-        found = list_decode(base, points, k, A, rng)
-    except AgreementTooSmall:  # pragma: no cover - A > sqrt(kn) for every n >= 2
-        found = []
-    found.sort(key=lambda t: (-agreement(t, points), t.sort_key()))
-    candidates.extend(found)
-
-    seen = set()
-    for t in candidates:
-        if t.coeffs in seen:
-            continue
-        seen.add(t.coeffs)
-        F = f + ctx.modulus * t
-        try:
-            digits = _read_digits(ctx, F, rng)
-        except (NotSplit, RootNotInTable):
-            continue
-        if encode_digits(ctx, digits) != inst.target:  # pragma: no cover - defensive
-            raise VerificationFailed(f"digits {tuple(digits)} failed re-exponentiation")
-        return SolveOutcome(digits, "list_decode")
-    raise NoCandidate(f"no candidate of degree <= {k} produced a verified exponent")
+        out = _read_off(inst, rng, relaxed=True)
+    except (NotSplit, RootNotInTable) as exc:
+        raise NoCandidate(f"no candidate produced a verified exponent; last: {exc}") from exc
+    out.method = "list_decode"
+    return out
 
 
 def _solve_fallback(inst: DlpInstance, budget: oracle.GroupBudget) -> SolveOutcome:
     ctx = inst.ctx
     n, q = ctx.degree, ctx.base.q
-    order_bound = q ** n - 1
     try:
-        e = oracle.bsgs_dlp(ctx.generator, inst.target, order_bound, budget)
+        e = oracle.bsgs_dlp(ctx.generator, inst.target, q ** n - 1, budget)
     except oracle.BudgetExceeded as exc:
         raise Unsolvable(f"generic fallback exceeded budget: {exc}") from exc
     except oracle.NotInSubgroup as exc:
         raise Unsolvable("target is not a power of g") from exc
-    digits = ExponentDigits.from_int(e, q, n)
-    if encode_digits(ctx, digits) != inst.target:  # pragma: no cover - defensive
-        raise VerificationFailed("fallback exponent failed re-exponentiation")
-    return SolveOutcome(digits, "fallback")
+    return _verified(inst, ExponentDigits.from_int(e, q, n), "fallback")
 
 
 def solve_auto(inst: DlpInstance, w_hint: int | None = None,
                rng: random.Random | None = None,
                budget: oracle.GroupBudget | None = None) -> SolveOutcome:
-    """Strategy dispatch: direct read-off, then list decoding, then generic BSGS.
+    """Strategy dispatch: the candidate pipeline (direct read-off, boundary,
+    decoded curves), then generic BSGS.
 
-    w_hint (a claimed digit-sum bound) only reorders which strategy runs
-    first; every strategy still runs before giving up.
+    w_hint (a claimed digit-sum bound) only decides whether BSGS runs first,
+    which it does above floor(1.32 n); both still run before giving up.
     """
     rng = rng if rng is not None else random.Random(0xA070)
     budget = budget if budget is not None else oracle.GroupBudget()
-    n = inst.ctx.degree
-
-    def run_bounded():
-        return solve_bounded(inst, rng)
-
-    def run_list():
-        return solve_listdecode(inst, rng)
-
-    def run_fallback():
-        return _solve_fallback(inst, budget)
-
-    order = [("bounded", run_bounded), ("list", run_list), ("fallback", run_fallback)]
-    if w_hint is not None:
-        if w_hint > relaxed_sum_bound(n):
-            order = [order[2], order[0], order[1]]
-        elif w_hint > n:
-            order = [order[1], order[0], order[2]]
-
-    last: Exception | None = None
-    for _name, step in order:
+    fallback_first = w_hint is not None and w_hint > relaxed_sum_bound(inst.ctx.degree)
+    if fallback_first:
         try:
-            return step()
-        except (NotSplit, RootNotInTable, NoCandidate, Unsolvable) as exc:
-            last = exc
-    if isinstance(last, Unsolvable):
-        raise last
-    raise Unsolvable(f"all strategies failed; last error: {last}")
+            return _solve_fallback(inst, budget)
+        except Unsolvable:
+            pass
+    try:
+        return _read_off(inst, rng, relaxed=True)
+    except (NotSplit, RootNotInTable) as exc:
+        if fallback_first:
+            raise Unsolvable(f"all strategies failed; last error: {exc}") from exc
+    return _solve_fallback(inst, budget)

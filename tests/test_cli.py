@@ -108,6 +108,23 @@ def test_solve_secret_mismatch_exit4(tmp_path):
     assert main(["solve", "--in", str(inst), "--secret-in", str(sec)]) == 4
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: dict(doc, target=5),
+    lambda doc: dict(doc, target=[[1.5]] + doc["target"][1:]),
+    lambda doc: dict(doc, n="15"),
+    lambda doc: [doc],
+    lambda doc: dict(doc, d=0),
+], ids=["target_int", "float_coeff", "n_str", "top_level_list", "d_zero"])
+def test_solve_malformed_instance_exit2(tmp_path, capsys, edit):
+    inst = tmp_path / "i.json"
+    assert main(["gen", "--kind", "kummer", "--p", "31", "--n", "15", "--a", "3",
+                 "--b", "1", "--seed", "3", "--out", str(inst)]) == 0
+    inst.write_text(json.dumps(edit(json.loads(inst.read_text()))))
+    capsys.readouterr()
+    assert main(["solve", "--in", str(inst)]) == 2
+    assert capsys.readouterr().err.startswith("ValueError: ")
+
+
 def test_solve_missing_file_exit3(tmp_path):
     assert main(["solve", "--in", str(tmp_path / "missing.json")]) == 3
 
@@ -164,6 +181,18 @@ def test_bench_small_suite(tmp_path):
     assert int(by_key[("bsgs_dlp", "5")][5]) == 3
     assert int(by_key[("meet_in_middle_binary", "5")][5]) == 3
     assert int(by_key[("solve_listdecode", "31")][5]) == 3
+
+
+def test_bench_propagates_internal_faults(monkeypatch):
+    # a failed re-exponentiation is a fault, not a miss
+    from kummerlog import bench, solver
+
+    def inconsistent(inst, rng=None):
+        raise solver.VerificationFailed("injected")
+
+    monkeypatch.setattr(bench, "solve_bounded", inconsistent)
+    with pytest.raises(solver.VerificationFailed):
+        bench.run_bench("small", 1, 0)
 
 
 def test_selftest_corrupt_hook_names_criterion(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 import kummerlog as kl
 from kummerlog import solver
-from kummerlog.digits import agreement_bound, relaxed_sum_bound
+from kummerlog.digits import agreement_bound, curve_degree_bound, relaxed_sum_bound
 from kummerlog.extfield import ContextMismatch
 
 
@@ -255,3 +255,40 @@ def test_solve_auto_always_verifies(kummer54, as5):
             out = kl.solve_auto(inst, rng=rng)
             assert out.verified
             assert kl.encode_digits(ctx, out.digits) == inst.target
+
+
+def test_agreement_always_exceeds_the_johnson_bound():
+    # lets the solver call list_decode without catching AgreementTooSmall
+    for n in range(2, 10_001):
+        assert agreement_bound(n) ** 2 > max(1, curve_degree_bound(n)) * n
+
+
+def _factor_calls(monkeypatch, solve, inst):
+    calls = []
+    real = solver.factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "factor", counting)
+        try:
+            solve(inst, rng=random.Random(32))
+        except solver.NoCandidate:
+            pass
+    return len(calls)
+
+
+def test_solve_auto_reads_each_candidate_off_once(monkeypatch, kummer3115, kummer54):
+    rng = random.Random(33)
+    while True:
+        e = kl.sample_bounded_sum(15, 31, 19, rng)
+        if e.nonzero_count() >= agreement_bound(15) and e.digit_sum() > 15:
+            break
+    decodable = kl.DlpInstance(kummer3115, kl.encode_digits(kummer3115, e))
+    _, undecodable = _instance(kummer54, (4, 4, 4, 3))
+    for inst in (decodable, undecodable):
+        # solve_auto reads off what solve_listdecode does; BSGS adds no read-off
+        assert (_factor_calls(monkeypatch, kl.solve_auto, inst)
+                == _factor_calls(monkeypatch, kl.solve_listdecode, inst))
