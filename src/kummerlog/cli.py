@@ -82,6 +82,13 @@ def _check_shape(doc):
         raise ValueError("'target' must be a list of coefficient lists of integers")
 
 
+def _check_secret(doc):
+    """Reject a secret document that is not an object with a `digits` int list."""
+    digits = doc.get("digits") if isinstance(doc, dict) else None
+    if not isinstance(digits, list) or not all(_is_int(d) for d in digits):
+        raise ValueError("secret file must hold a JSON object with a 'digits' list of integers")
+
+
 def _load_context(doc: dict):
     _check_shape(doc)
     p, d = doc["p"], doc.get("d", 1)
@@ -154,6 +161,8 @@ def cmd_solve(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_IO, exc)
     try:
+        if secret is not None:
+            _check_secret(secret)
         ctx = _load_context(doc)
         coeffs = [ctx.base.from_coeffs(c) for c in doc["target"]]
         if len(coeffs) > ctx.degree:

@@ -7,9 +7,12 @@ threshold A > sqrt(k n), interpolation finds a nonzero bivariate Q of
 characteristic).  Every t with deg t <= k passing at least A points then
 satisfies Q(x, t(x)) = 0 and is recovered by Roth-Ruckenstein recursion.
 
-The kernel vector is chosen deterministically: monomial columns are ordered
-by ascending weighted degree and the first free column is taken, which
-yields a minimal-weighted-degree interpolation polynomial.
+Interpolation is Koetter's iterative algorithm on j_cap + 1 generator
+polynomials rather than elimination over the monomial columns.  Its output
+is deterministic: the unique interpolation polynomial, up to a scalar, whose
+leading monomial is least in (weighted degree, y-degree, x-degree) order,
+scaled to leading coefficient 1.  This is the kernel vector of the first
+free column when the columns are ordered that way.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class AgreementTooSmall(ValueError):
 
 
 class NoSolution(RuntimeError):
-    """Interpolation system had no kernel; cannot occur for valid params."""
+    """No multiplicity below the cap gives a workable system."""
 
 
 _MAX_MULTIPLICITY = 512
@@ -187,104 +190,175 @@ def _pow(field, x, e: int):
 # -- interpolation ------------------------------------------------------------------
 
 
-def _kernel_vector_prime(rows: list[list[int]], p: int) -> list[int]:
-    M = np.asarray(rows, dtype=np.int64) % p
-    n_rows, n_cols = M.shape
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(n_cols):
-        if r < n_rows:
-            nz = np.flatnonzero(M[r:, c])
-            if nz.size:
-                pr = r + int(nz[0])
-                if pr != r:
-                    M[[r, pr]] = M[[pr, r]]
-                inv = pow(int(M[r, c]), p - 2, p)
-                M[r] = (M[r] * inv) % p
-                others = np.flatnonzero(M[:, c])
-                others = others[others != r]
-                if others.size:
-                    M[others] = (M[others] - np.outer(M[others, c], M[r])) % p
-                pivots[c] = r
-                r += 1
-                continue
-        x = [0] * n_cols
-        x[c] = 1
-        for pc, prow in pivots.items():
-            x[pc] = int(-M[prow, c]) % p
-        return x
-    raise NoSolution("constraint matrix has full column rank")
-
-
-def _kernel_vector_generic(field, rows: list[list]) -> list:
-    M = [list(row) for row in rows]
-    n_rows, n_cols = len(M), len(M[0])
+def _taylor_rows(field, a, m: int, width: int) -> list[list]:
+    """rows[r][i] = C(i, r) a^(i-r), the x^r coefficient of (x + a)^i, for r < m."""
     zero = field.zero
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(n_cols):
-        if r < n_rows:
-            pr = next((i for i in range(r, n_rows) if M[i][c] != zero), None)
-            if pr is not None:
-                M[r], M[pr] = M[pr], M[r]
-                inv = field.inv(M[r][c])
-                M[r] = [field.mul(v, inv) for v in M[r]]
-                for i in range(n_rows):
-                    if i != r and M[i][c] != zero:
-                        fac = M[i][c]
-                        M[i] = [field.sub(vi, field.mul(fac, vr))
-                                for vi, vr in zip(M[i], M[r])]
-                pivots[c] = r
-                r += 1
-                continue
-        x = [zero] * n_cols
-        x[c] = field.one
-        for pc, prow in pivots.items():
-            x[pc] = field.neg(M[prow][c])
-        return x
-    raise NoSolution("constraint matrix has full column rank")
+    col = [field.one] + [zero] * (m - 1)
+    cols = [col]
+    for _ in range(1, width):
+        col = [field.add(field.mul(a, c), prev) for c, prev in zip(col, [zero] + col[:-1])]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+class _Layout:
+    """Coefficient vectors indexed by the monomials in ascending (wdeg, j, i)
+    order, plus one trailing pad entry that stays 0.
+
+    A generator is tracked by the index of its leading monomial, so the least
+    generator is the one with the smallest index, and its entries past that
+    index are 0: a reduction by a smaller pivot touches only the pivot's
+    prefix.  Multiplying by x moves entry `shift[c]` to c (the pad for i = 0)
+    and the leading index c to `up[c]` (-1 at weighted degree D).  `rows`
+    lists the entries y-row by y-row, the row of y^j from `starts[j]`, and
+    `xexp` gives each of those entries' x-exponent.
+    """
+
+    def __init__(self, params: DecodeParams):
+        k, D = params.k, params.weighted_degree_bound
+        self.monos = params.monomials()
+        pos = {ij: c for c, ij in enumerate(self.monos)}
+        pad = len(self.monos)
+        self.shift = [pos.get((i - 1, j), pad) for i, j in self.monos] + [pad]
+        self.up = [pos.get((i + 1, j), -1) for i, j in self.monos]
+        self.rows, self.starts, self.xexp = [], [0], []
+        for j in range(params.y_degree_cap + 1):
+            width = D - k * j + 1
+            self.rows.extend(pos[(i, j)] for i in range(width))
+            self.starts.append(self.starts[-1] + width)
+            self.xexp.extend(range(width))
+        self.initial_leads = [pos[(0, j)] for j in range(params.y_degree_cap + 1)]
+
+
+def _interpolate_prime(field, points, params: DecodeParams) -> dict:
+    # gens[g] is generator g's coefficient vector and tab[g, r, s] its
+    # D_(r,s) at the current point (entries r + s < m used).  Residues are
+    # below p < 2^31, so a product of two is below 2^62: products are reduced
+    # before they are summed, and at most one residue joins an unreduced one.
+    p, m, D = field.p, params.multiplicity, params.weighted_degree_bound
+    lay = _Layout(params)
+    J = params.y_degree_cap + 1
+    lead = list(lay.initial_leads)
+    gens = np.zeros((J, len(lay.shift)), dtype=np.int64)
+    gens[range(J), lead] = 1
+    shift, rows, starts = np.array(lay.shift), np.array(lay.rows), lay.starts[:-1]
+    for a, b in points:
+        hx = np.array(_taylor_rows(field, a, m, D + 1), dtype=np.int64)[:, lay.xexp]
+        hy = np.array(_taylor_rows(field, b, m, J), dtype=np.int64).T
+        by_row = gens[:, rows]
+        tab = np.empty((len(lead), m, m), dtype=np.int64)
+        for r in range(m):
+            u = np.add.reduceat(by_row * hx[r] % p, starts, axis=1) % p
+            tab[:, r] = (u[:, :, None] * hy % p).sum(axis=1) % p
+        for r in range(m):
+            for s in range(m - r):
+                disc = tab[:, r, s]
+                nz = np.flatnonzero(disc)
+                if not nz.size:
+                    continue
+                f = min(nz.tolist(), key=lead.__getitem__)
+                c = -disc * pow(int(disc[f]), p - 2, p) % p
+                c[f] = 0
+                head = gens[:, :lead[f] + 1]
+                t = c[:, None] * head[f]
+                t += head
+                np.remainder(t, p, out=head)
+                t = c[:, None, None] * tab[f]
+                t += tab
+                np.remainder(t, p, out=tab)
+                if lay.up[lead[f]] < 0:
+                    gens = np.delete(gens, f, axis=0)
+                    tab = np.delete(tab, f, axis=0)
+                    del lead[f]
+                    continue
+                # multiply by (x - a); D_(r,s) of the product at a is D_(r-1,s)
+                gens[f] = (gens[f, shift] - a * gens[f]) % p
+                tab[f, 1:] = tab[f, :-1]
+                tab[f, 0] = 0
+                lead[f] = lay.up[lead[f]]
+    return dict(zip(lay.monos, gens[min(range(len(lead)), key=lead.__getitem__)].tolist()))
+
+
+def _interpolate_field(field, points, params: DecodeParams) -> dict:
+    # the same recurrence through field ops, with tab[g][r*m + s] = D_(r,s) gens[g]
+    zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
+    m, D = params.multiplicity, params.weighted_degree_bound
+
+    def dot(us, vs):
+        acc = zero
+        for u, v in zip(us, vs):
+            if u != zero:
+                acc = add(acc, mul(u, v))
+        return acc
+
+    lay = _Layout(params)
+    J = params.y_degree_cap + 1
+    lead = list(lay.initial_leads)
+    gens = [[zero] * len(lay.shift) for _ in range(J)]
+    for g, c in enumerate(lead):
+        gens[g][c] = field.one
+    for a, b in points:
+        hx = _taylor_rows(field, a, m, D + 1)
+        hy = _taylor_rows(field, b, m, J)
+        tab = []
+        for g in gens:
+            by_row = [g[c] for c in lay.rows]
+            t = []
+            for r in range(m):
+                u = [dot(by_row[lay.starts[j]:lay.starts[j + 1]], hx[r]) for j in range(J)]
+                t.extend(dot(u, hy[s]) for s in range(m))
+            tab.append(t)
+        for r in range(m):
+            for s in range(m - r):
+                disc = [t[r * m + s] for t in tab]
+                nz = [g for g, d in enumerate(disc) if d != zero]
+                if not nz:
+                    continue
+                f = min(nz, key=lead.__getitem__)
+                inv = field.inv(disc[f])
+                e = lead[f] + 1
+                for g in nz:
+                    if g != f:
+                        c = mul(disc[g], inv)
+                        gens[g][:e] = [sub(u, mul(c, v)) for u, v in zip(gens[g][:e], gens[f])]
+                        tab[g] = [sub(u, mul(c, v)) for u, v in zip(tab[g], tab[f])]
+                if lay.up[lead[f]] < 0:
+                    del gens[f], tab[f], lead[f]
+                    continue
+                old = gens[f]
+                gens[f] = [sub(old[src], mul(a, c)) for src, c in zip(lay.shift, old)]
+                tab[f] = [zero] * m + tab[f][:-m]
+                lead[f] = lay.up[lead[f]]
+    return dict(zip(lay.monos, gens[min(range(len(lead)), key=lead.__getitem__)]))
 
 
 def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
-    """Nonzero Q of weighted degree <= D vanishing to order m at every point."""
+    """Nonzero Q of weighted degree <= D vanishing to order m at every point.
+
+    Koetter's iterative interpolation over j_cap + 1 generators, which start
+    as y^j.  The constraints D_(r,s) Q(a, b) = 0 at each point are imposed
+    r outer, s inner, so (r-1, s) is met before (r, s).  Each constraint is
+    imposed by the generator with the least leading monomial in (weighted
+    degree, y-degree) order among those it does not yet hold for: that pivot
+    cancels the others' discrepancies and is then multiplied by (x - a).
+    The Hasse derivatives at a point are taken once per generator and then
+    follow the same row operations; for the pivot they shift, as
+    D_(r,s)((x - a) f)(a, b) = D_(r-1,s) f(a, b).  A generator whose
+    weighted degree would pass D is dropped, since it can never be the pivot
+    for one at or below D.  Leading coefficients stay 1, and the result is
+    the least generator: the only element of the interpolation module with
+    the least leading monomial and leading coefficient 1.
+    """
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct x-coordinates")
     if len(points) != params.n_points:
         raise ValueError("point count does not match params")
-    k, m, D = params.k, params.multiplicity, params.weighted_degree_bound
-    monos = params.monomials()
-    prime_path = isinstance(field, ff.Field) and field.d == 1
-    j_max = max(j for _, j in monos)
-    rows = []
-    for a, b in points:
-        apow = [field.one]
-        for _ in range(D):
-            apow.append(field.mul(apow[-1], a))
-        bpow = [field.one]
-        for _ in range(j_max):
-            bpow.append(field.mul(bpow[-1], b))
-        for r in range(m):
-            for s in range(m - r):
-                if prime_path:
-                    row = [0] * len(monos)
-                    for idx, (i, j) in enumerate(monos):
-                        if i >= r and j >= s:
-                            cb = math.comb(i, r) * math.comb(j, s)
-                            row[idx] = cb * apow[i - r] % field.p * bpow[j - s] % field.p
-                else:
-                    row = [field.zero] * len(monos)
-                    for idx, (i, j) in enumerate(monos):
-                        if i >= r and j >= s:
-                            cb = math.comb(i, r) * math.comb(j, s)
-                            v = field.mul(field.embed_int(cb), apow[i - r])
-                            row[idx] = field.mul(v, bpow[j - s])
-                rows.append(row)
-    if prime_path:
-        vec = _kernel_vector_prime(rows, field.p)
+    if isinstance(field, ff.Field) and field.d == 1:
+        coeffs = _interpolate_prime(field, points, params)
     else:
-        vec = _kernel_vector_generic(field, rows)
-    return BivariatePoly(field, k, dict(zip(monos, vec)))
+        coeffs = _interpolate_field(field, points, params)
+    return BivariatePoly(field, params.k, coeffs)
 
 
 # -- Roth-Ruckenstein y-root extraction ----------------------------------------------

@@ -125,6 +125,21 @@ def test_solve_malformed_instance_exit2(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("ValueError: ")
 
 
+@pytest.mark.parametrize("secret", [[1, 2], {}, {"digits": 5}],
+                         ids=["top_level_list", "no_digits", "digits_int"])
+def test_solve_malformed_secret_exit2(tmp_path, capsys, secret):
+    inst = tmp_path / "i.json"
+    sec = tmp_path / "s.json"
+    assert main(["gen", "--kind", "kummer", "--p", "5", "--n", "4", "--a", "2",
+                 "--b", "1", "--seed", "1", "--out", str(inst)]) == 0
+    sec.write_text(json.dumps(secret))
+    capsys.readouterr()
+    assert main(["solve", "--in", str(inst), "--secret-in", str(sec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ValueError: ")
+    assert captured.out == ""
+
+
 def test_solve_missing_file_exit3(tmp_path):
     assert main(["solve", "--in", str(tmp_path / "missing.json")]) == 3
 

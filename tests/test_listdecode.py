@@ -70,7 +70,7 @@ def test_interpolate_rejects_repeated_x(f7):
 
 
 def test_interpolate_generic_field_path(f9):
-    # extension coefficients go through the python elimination
+    # extension coefficients go through the field-op recurrence, not numpy
     rng = random.Random(11)
     xs = rng.sample(f9.elements(), 5)
     t = Poly(f9, [f9.random_element(rng), f9.random_element(rng)])
@@ -78,6 +78,70 @@ def test_interpolate_generic_field_path(f9):
     params = kl.select_params(5, 1, 3)
     Q = kl.interpolate(f9, pts, params)
     assert Q.eval_y(t).is_zero()
+
+
+def _dense_interpolate(field, points, params):
+    """Reference Q: Gauss-Jordan elimination over the Hasse-derivative system.
+
+    Columns are the monomials in ascending (wdeg, j, i) order; the kernel
+    vector of the first free column, with a 1 there, is the answer.
+    """
+    zero, one = field.zero, field.one
+
+    def power(x, e):
+        acc = one
+        for _ in range(e):
+            acc = field.mul(acc, x)
+        return acc
+
+    monos = params.monomials()
+    m = params.multiplicity
+    M = []
+    for a, b in points:
+        for r in range(m):
+            for s in range(m - r):
+                M.append([field.mul(field.embed_int(math.comb(i, r) * math.comb(j, s)),
+                                    field.mul(power(a, i - r), power(b, j - s)))
+                          if i >= r and j >= s else zero for i, j in monos])
+    pivots = {}
+    for c in range(len(monos)):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(M)) if M[i][c] != zero), None)
+        if pr is None:
+            vec = {monos[c]: one}
+            for pc, prow in pivots.items():
+                vec[monos[pc]] = field.neg(M[prow][c])
+            return {ij: v for ij, v in vec.items() if v != zero}
+        M[r], M[pr] = M[pr], M[r]
+        inv = field.inv(M[r][c])
+        M[r] = [field.mul(v, inv) for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != zero:
+                fac = M[i][c]
+                M[i] = [field.sub(u, field.mul(fac, v)) for u, v in zip(M[i], M[r])]
+        pivots[c] = r
+    raise AssertionError("the system has no free column")
+
+
+def test_interpolate_matches_dense_elimination(f8, f9):
+    fields = [kl.build_field(p) for p in (2, 3, 7, 31, 65537, 2**31 - 1)]
+    fields += [f8, f9, kl.build_field(5, 2, rng_seed=1)]
+    rng = random.Random(18)
+    checked = 0
+    while checked < 216:
+        # the least agreement above sqrt(k n) gives multiplicities up to 4
+        # within the column cap; k = 0 (one case in four) always has m = 1
+        field = fields[checked % len(fields)]
+        npts = rng.randrange(min(field.q, 3), min(field.q, 8) + 1)
+        k = checked % 4
+        params = kl.select_params(npts, k, math.isqrt(k * npts) + 1)
+        if len(params.monomials()) > 150:
+            continue
+        xs = rng.sample(range(field.q), npts)
+        pts = [(x, field.random_element(rng)) for x in xs]
+        got = kl.interpolate(field, pts, params)
+        assert got.coeffs == _dense_interpolate(field, pts, params), (field, pts, params)
+        checked += 1
 
 
 def test_y_roots_product(f7):

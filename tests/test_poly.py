@@ -177,3 +177,30 @@ def test_ext_gcd(f5, f8):
 def test_factor_zero_rejected(f5):
     with pytest.raises(ValueError):
         kl.factor(Poly.zero(f5))
+
+
+def _sympy_factors(f, sp):
+    """(lc, {monic factor coeffs low to high: multiplicity}) from sympy over GF(p)."""
+    p = f.field.p
+    lc, facs = sp.Poly(list(reversed(f.coeffs)), sp.Symbol("x"), modulus=p).factor_list()
+    return int(lc) % p, {tuple(int(c) % p for c in reversed(g.all_coeffs())): e
+                         for g, e in facs}
+
+
+def test_factor_and_roots_match_sympy():
+    # an oracle independent of this package: sympy's factor_list over GF(p)
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(19)
+    for p in (2, 3, 5, 7, 31, 101):
+        field = kl.build_field(p)
+        for _ in range(25):
+            f = Poly.constant(field, field.random_nonzero(rng))
+            for _ in range(rng.randrange(1, 5)):
+                g = Poly(field, [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [1])
+                for _ in range(rng.randrange(1, 4)):
+                    f = f * g
+            lc, facs = kl.factor(f, rng)
+            want_lc, want = _sympy_factors(f, sp)
+            assert (lc, {g.coeffs: e for g, e in facs}) == (want_lc, want)
+            want_roots = sorted((-c[0] % p, e) for c, e in want.items() if len(c) == 2)
+            assert kl.roots(f, rng) == want_roots

@@ -151,6 +151,24 @@ def test_solve_listdecode_planted(kummer3115):
         assert out.method == "list_decode"
 
 
+def test_solve_listdecode_worst_cliff():
+    # (q, n) = (191, 19) has the largest interpolation system below n = 30:
+    # m = 17 and 3008 monomial columns
+    n, q = 19, 191
+    need = agreement_bound(n)
+    params = kl.select_params(n, max(1, curve_degree_bound(n)), need)
+    assert (params.multiplicity, len(params.monomials())) == (17, 3008)
+    ctx = kl.build_kummer(kl.build_field(q), n, 2, 1)
+    rng = random.Random(25)
+    while True:
+        e = kl.sample_bounded_sum(n, q, relaxed_sum_bound(n), rng)
+        if e.digit_sum() > n and e.nonzero_count() >= need:
+            break
+    out = kl.solve_listdecode(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)), rng)
+    assert tuple(out.digits) == tuple(e)
+    assert out.method == "list_decode"
+
+
 def test_solve_listdecode_subsumes_bounded(kummer54, as5):
     rng = random.Random(25)
     for ctx in (kummer54, as5):
