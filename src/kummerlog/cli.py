@@ -129,6 +129,11 @@ def cmd_gen(args) -> int:
         ctx = _build_gen_context(args)
         q, n = ctx.base.q, ctx.degree
         sum_bound = args.sum_bound if args.sum_bound is not None else n
+        # each nonzero digit adds at least 1 to the sum, so no draw has more
+        # than min(n, sum_bound) of them (a negative bound is the sampler's error)
+        if args.min_nonzero > max(0, min(n, sum_bound)):
+            raise ValueError(f"--min-nonzero {args.min_nonzero} exceeds "
+                             f"min(n, sum bound) = {min(n, sum_bound)}")
         rng = random.Random(args.seed)
         while True:
             e = sample_bounded_sum(n, q, sum_bound, rng)
@@ -158,7 +163,7 @@ def cmd_solve(args) -> int:
         if args.secret_in:
             with open(args.secret_in, encoding="utf-8") as fh:
                 secret = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _fail(EXIT_IO, exc)
     try:
         if secret is not None:

@@ -13,6 +13,11 @@ is deterministic: the unique interpolation polynomial, up to a scalar, whose
 leading monomial is least in (weighted degree, y-degree, x-degree) order,
 scaled to leading coefficient 1.  This is the kernel vector of the first
 free column when the columns are ordered that way.
+
+Roth-Ruckenstein root finding then runs on Q's coefficients as a dense
+(j, i) array, row j holding the x-coefficients of y^j.  Both stages keep
+prime-field residues in numpy int64 arrays and run the same steps through
+field ops for extensions.
 """
 
 from __future__ import annotations
@@ -201,6 +206,35 @@ def _taylor_rows(field, a, m: int, width: int) -> list[list]:
     return [list(row) for row in zip(*cols)]
 
 
+class _PrimeTaylor:
+    """Tables T[r][i] = C(i, r) a^(i-r) mod p for r < rows, i < width.
+
+    The binomials mod p are built once; each table then costs the powers of
+    a and one vectorized product, with no per-entry field call.
+    """
+
+    def __init__(self, p: int, rows: int, width: int):
+        self.p = p
+        binom = np.zeros((rows, width), dtype=np.int64)
+        binom[0] = 1
+        for r in range(1, rows):
+            # C(i, r) = sum_{t < i} C(t, r - 1); the sum stays below width * p
+            binom[r, 1:] = np.cumsum(binom[r - 1, :-1]) % p
+        self.binom = binom
+        self.exps = np.maximum(np.arange(width) - np.arange(rows)[:, None], 0)
+
+    def table(self, a: int):
+        p = self.p
+        powers = [1] * self.binom.shape[1]
+        for e in range(1, len(powers)):
+            powers[e] = powers[e - 1] * a % p
+        return self.binom * np.array(powers, dtype=np.int64)[self.exps] % p
+
+
+def _is_prime_field(field) -> bool:
+    return isinstance(field, ff.Field) and field.d == 1
+
+
 class _Layout:
     """Coefficient vectors indexed by the monomials in ascending (wdeg, j, i)
     order, plus one trailing pad entry that stays 0.
@@ -242,9 +276,10 @@ def _interpolate_prime(field, points, params: DecodeParams) -> dict:
     gens = np.zeros((J, len(lay.shift)), dtype=np.int64)
     gens[range(J), lead] = 1
     shift, rows, starts = np.array(lay.shift), np.array(lay.rows), lay.starts[:-1]
+    taylor_x, taylor_y = _PrimeTaylor(p, m, D + 1), _PrimeTaylor(p, m, J)
     for a, b in points:
-        hx = np.array(_taylor_rows(field, a, m, D + 1), dtype=np.int64)[:, lay.xexp]
-        hy = np.array(_taylor_rows(field, b, m, J), dtype=np.int64).T
+        hx = taylor_x.table(a)[:, lay.xexp]
+        hy = taylor_y.table(b).T
         by_row = gens[:, rows]
         tab = np.empty((len(lead), m, m), dtype=np.int64)
         for r in range(m):
@@ -354,7 +389,7 @@ def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
         raise ValueError("interpolation points must have distinct x-coordinates")
     if len(points) != params.n_points:
         raise ValueError("point count does not match params")
-    if isinstance(field, ff.Field) and field.d == 1:
+    if _is_prime_field(field):
         coeffs = _interpolate_prime(field, points, params)
     else:
         coeffs = _interpolate_field(field, points, params)
@@ -364,77 +399,133 @@ def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
 # -- Roth-Ruckenstein y-root extraction ----------------------------------------------
 
 
-def _strip_x(Q: BivariatePoly) -> BivariatePoly:
-    v = min(i for i, _ in Q.coeffs)
-    if v == 0:
-        return Q
-    return BivariatePoly(Q.field, Q.k, {(i - v, j): c for (i, j), c in Q.coeffs.items()})
-
-
-def _shift(Q: BivariatePoly, c) -> BivariatePoly:
-    """Q(x, x*y + c)."""
-    f = Q.field
-    out: dict = {}
-    for (i, j), coef in Q.coeffs.items():
-        cp = f.one
-        # (x y + c)^j expanded from s = j down to 0 so c-powers build up
-        for s in range(j, -1, -1):
-            cb = f.embed_int(math.comb(j, s))
-            term = f.mul(coef, f.mul(cb, cp))
-            if term != f.zero:
-                key = (i + s, s)
-                out[key] = f.add(out.get(key, f.zero), term)
-            if s:
-                cp = f.mul(cp, c)
-    return BivariatePoly(f, Q.k, out)
-
-
-def _x0_section(Q: BivariatePoly) -> Poly:
-    """Q(0, y) as a univariate polynomial in y."""
-    f = Q.field
-    deg = Q.y_degree()
-    cs = [f.zero] * (deg + 1)
+def _coeff_rows(Q: BivariatePoly) -> list[list]:
+    """Q's coefficients as a dense (j, i) grid: row j is y^j's coefficient in x."""
+    zero = Q.field.zero
+    grid = [[zero] * (max(i for i, _ in Q.coeffs) + 1) for _ in range(Q.y_degree() + 1)]
     for (i, j), c in Q.coeffs.items():
-        if i == 0:
-            cs[j] = c
-    return Poly(f, cs)
+        grid[j][i] = c
+    return grid
 
 
-def _y_section(Q: BivariatePoly, c) -> Poly:
-    """Q(x, c) as a univariate polynomial in x."""
-    f = Q.field
-    out: dict[int, object] = {}
-    for (i, j), coef in Q.coeffs.items():
-        v = f.mul(coef, _pow(f, c, j))
-        out[i] = f.add(out.get(i, f.zero), v)
-    deg = max(out, default=-1)
-    return Poly(f, [out.get(i, f.zero) for i in range(deg + 1)])
+class _PrimeRows:
+    """Roth-Ruckenstein steps on a (j, i) int64 array of residues mod p."""
+
+    def __init__(self, field, J: int):
+        self.p = field.p
+        self.taylor = _PrimeTaylor(field.p, J, J)
+
+    def load(self, grid):
+        return np.array(grid, dtype=np.int64)
+
+    def strip(self, cur):
+        nz = np.flatnonzero(cur.any(axis=0))
+        return cur[:, nz[0]:nz[-1] + 1]
+
+    def section(self, cur) -> list:
+        return cur[:, 0].tolist()
+
+    def vanishes(self, cur, c) -> bool:
+        p, acc = self.p, cur[-1]
+        for row in cur[-2::-1]:
+            acc = (acc * c + row) % p
+        return not acc.any()
+
+    def shift(self, cur, c):
+        # row s of Q(x, xy + c) is x^s sum_j C(j, s) c^(j-s) Q_j(x); each
+        # product is reduced before the J-term sum, which stays below 2^63
+        p = self.p
+        J, W = cur.shape
+        mixed = (self.taylor.table(c)[:, :, None] * cur % p).sum(axis=1) % p
+        out = np.zeros((J, W + J - 1), dtype=np.int64)
+        for s in range(J):
+            out[s, s:s + W] = mixed[s]
+        return out
+
+
+class _FieldRows:
+    """The same steps on a list of rows, each a list of x-coefficients, through
+    field ops; rows may differ in length, missing entries being 0."""
+
+    def __init__(self, field, J: int):
+        self.field, self.J = field, J
+
+    def load(self, grid) -> list:
+        return grid
+
+    def strip(self, cur) -> list:
+        zero = self.field.zero
+        v = min(i for row in cur for i, c in enumerate(row) if c != zero)
+        return [row[v:] for row in cur]
+
+    def section(self, cur) -> list:
+        return [row[0] if row else self.field.zero for row in cur]
+
+    def vanishes(self, cur, c) -> bool:
+        acc = Poly.zero(self.field)
+        for row in reversed(cur):
+            acc = acc.mul_scalar(c) + Poly(self.field, row)
+        return acc.is_zero()
+
+    def shift(self, cur, c) -> list:
+        f = self.field
+        zero, add, mul = f.zero, f.add, f.mul
+        taylor = _taylor_rows(f, c, self.J, self.J)
+        out = []
+        for s in range(self.J):
+            acc: list = []
+            for j in range(s, self.J):
+                t, row = taylor[s][j], cur[j]
+                if t == zero:
+                    continue
+                acc.extend([zero] * (len(row) - len(acc)))
+                for i, x in enumerate(row):
+                    if x != zero:
+                        acc[i] = add(acc[i], mul(t, x))
+            out.append([zero] * s + acc)
+        return out
 
 
 def y_roots(Q: BivariatePoly, k: int | None = None,
             rng: random.Random | None = None) -> list[Poly]:
-    """All t with deg t <= k and Q(x, t(x)) identically zero."""
+    """All t with deg t <= k and Q(x, t(x)) identically zero, sorted.
+
+    Roth-Ruckenstein recursion on Q's coefficients as a dense (j, i) array,
+    row j holding the x-coefficients of y^j: numpy residues for prime
+    fields, lists through field ops otherwise.  At each node the leading
+    all-zero columns are dropped (Q / x^v), the roots c of column 0,
+    Q(0, y), are the candidates for the next coefficient of t, and each
+    branch goes on with Q(x, xy + c): the Taylor matrix
+    T[s][j] = C(j, s) c^(j-s) times the rows, row s then moved s columns
+    right.  At depth k a root is kept when the Horner pass Q(x, c) over the
+    rows is zero.  Sections are factored depth first, in root order, so the
+    draws taken from rng do not depend on the layout.
+    """
     if Q.is_zero():
         raise ValueError("y_roots needs a nonzero polynomial")
     field = Q.field
     k = Q.k if k is None else k
+    if k < 0:
+        raise ValueError("y_roots needs k >= 0")
     rng = rng if rng is not None else random.Random(0x27182818)
+    grid = _coeff_rows(Q)
+    rows = (_PrimeRows if _is_prime_field(field) else _FieldRows)(field, len(grid))
     found: list[tuple] = []
 
-    # y -> xy + c keeps a nonzero Q nonzero, and stripping x leaves an x^0
-    # term, so every branch has a nonzero section Q(0, y)
-    def rec(cur: BivariatePoly, depth: int, prefix: list):
-        cur = _strip_x(cur)
-        for c, _mult in _poly_roots(_x0_section(cur), rng):
+    # y -> xy + c keeps a nonzero Q nonzero, and the strip leaves a nonzero
+    # column 0, so every branch has a nonzero section Q(0, y)
+    def rec(cur, depth: int, prefix: list):
+        cur = rows.strip(cur)
+        for c, _mult in _poly_roots(Poly(field, rows.section(cur)), rng):
             if depth == k:
-                if _y_section(cur, c).is_zero():
+                if rows.vanishes(cur, c):
                     found.append(tuple(prefix) + (c,))
             else:
                 prefix.append(c)
-                rec(_shift(cur, c), depth + 1, prefix)
+                rec(rows.shift(cur, c), depth + 1, prefix)
                 prefix.pop()
 
-    rec(Q, 0, [])
+    rec(rows.load(grid), 0, [])
     out = []
     seen = set()
     for tup in found:

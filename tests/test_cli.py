@@ -55,6 +55,18 @@ def test_gen_min_nonzero(tmp_path):
     assert secret["sum"] <= 19
 
 
+@pytest.mark.parametrize("flags", [
+    ["--min-nonzero", "16"],
+    ["--sum-bound", "3", "--min-nonzero", "4"],
+], ids=["above_n", "above_sum_bound"])
+def test_gen_unreachable_min_nonzero_exit2(tmp_path, capsys, flags):
+    # no digit vector qualifies, so resampling would never stop
+    assert main(["gen", "--kind", "kummer", "--p", "31", "--n", "15", "--a", "3",
+                 "--b", "1", *flags, "--out", str(tmp_path / "i.json")]) == 2
+    assert capsys.readouterr().err.startswith("ValueError: ")
+    assert not (tmp_path / "i.json").exists()
+
+
 def test_solve_worked_value(tmp_path, capsys):
     inst = tmp_path / "w.json"
     inst.write_text(json.dumps({
@@ -138,6 +150,19 @@ def test_solve_malformed_secret_exit2(tmp_path, capsys, secret):
     captured = capsys.readouterr()
     assert captured.err.startswith("ValueError: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("bad", ["in", "secret"])
+def test_solve_non_utf8_file_exit3(tmp_path, capsys, bad):
+    inst = tmp_path / "i.json"
+    sec = tmp_path / "s.json"
+    assert main(["gen", "--kind", "kummer", "--p", "5", "--n", "4", "--a", "2",
+                 "--b", "1", "--seed", "1", "--out", str(inst),
+                 "--secret-out", str(sec)]) == 0
+    (inst if bad == "in" else sec).write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert main(["solve", "--in", str(inst), "--secret-in", str(sec)]) == 3
+    assert capsys.readouterr().err.startswith("UnicodeDecodeError: ")
 
 
 def test_solve_missing_file_exit3(tmp_path):

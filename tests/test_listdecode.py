@@ -6,7 +6,7 @@ import pytest
 
 import kummerlog as kl
 from kummerlog import listdecode as ld
-from kummerlog.poly import Poly
+from kummerlog.poly import Poly, roots
 
 
 def test_select_params_examples():
@@ -123,12 +123,17 @@ def _dense_interpolate(field, points, params):
     raise AssertionError("the system has no free column")
 
 
-def test_interpolate_matches_dense_elimination(f8, f9):
-    fields = [kl.build_field(p) for p in (2, 3, 7, 31, 65537, 2**31 - 1)]
-    fields += [f8, f9, kl.build_field(5, 2, rng_seed=1)]
+def _corpus_fields(f8, f9):
+    return ([kl.build_field(p) for p in (2, 3, 7, 31, 65537, 2**31 - 1)]
+            + [f8, f9, kl.build_field(5, 2, rng_seed=1)])
+
+
+def _interpolation_corpus(f8, f9, count):
+    """(field, points, params) with random points over prime and extension fields."""
+    fields = _corpus_fields(f8, f9)
     rng = random.Random(18)
     checked = 0
-    while checked < 216:
+    while checked < count:
         # the least agreement above sqrt(k n) gives multiplicities up to 4
         # within the column cap; k = 0 (one case in four) always has m = 1
         field = fields[checked % len(fields)]
@@ -138,10 +143,98 @@ def test_interpolate_matches_dense_elimination(f8, f9):
         if len(params.monomials()) > 150:
             continue
         xs = rng.sample(range(field.q), npts)
-        pts = [(x, field.random_element(rng)) for x in xs]
+        yield field, [(x, field.random_element(rng)) for x in xs], params
+        checked += 1
+
+
+def test_interpolate_matches_dense_elimination(f8, f9):
+    for field, pts, params in _interpolation_corpus(f8, f9, 216):
         got = kl.interpolate(field, pts, params)
         assert got.coeffs == _dense_interpolate(field, pts, params), (field, pts, params)
-        checked += 1
+
+
+def _reference_y_roots(Q, k, rng):
+    """Reference Roth-Ruckenstein recursion on Q's coefficient dict."""
+    f = Q.field
+
+    def power(x, e):
+        return f.one if e == 0 else f.pow_(x, e)
+
+    def strip_x(Q):
+        v = min(i for i, _ in Q.coeffs)
+        if v == 0:
+            return Q
+        return ld.BivariatePoly(f, Q.k, {(i - v, j): c for (i, j), c in Q.coeffs.items()})
+
+    def shift(Q, c):
+        # Q(x, x y + c), term by term through the binomial expansion
+        out = {}
+        for (i, j), coef in Q.coeffs.items():
+            cp = f.one
+            # (x y + c)^j expanded from s = j down to 0 so c-powers build up
+            for s in range(j, -1, -1):
+                term = f.mul(coef, f.mul(f.embed_int(math.comb(j, s)), cp))
+                if term != f.zero:
+                    out[(i + s, s)] = f.add(out.get((i + s, s), f.zero), term)
+                if s:
+                    cp = f.mul(cp, c)
+        return ld.BivariatePoly(f, Q.k, out)
+
+    def x0_section(Q):
+        cs = [f.zero] * (Q.y_degree() + 1)
+        for (i, j), c in Q.coeffs.items():
+            if i == 0:
+                cs[j] = c
+        return Poly(f, cs)
+
+    def y_section(Q, c):
+        out = {}
+        for (i, j), coef in Q.coeffs.items():
+            out[i] = f.add(out.get(i, f.zero), f.mul(coef, power(c, j)))
+        return Poly(f, [out.get(i, f.zero) for i in range(max(out, default=-1) + 1)])
+
+    found = []
+
+    def rec(cur, depth, prefix):
+        cur = strip_x(cur)
+        for c, _mult in roots(x0_section(cur), rng):
+            if depth == k:
+                if y_section(cur, c).is_zero():
+                    found.append(Poly(f, prefix + [c]))
+            else:
+                rec(shift(cur, c), depth + 1, prefix + [c])
+
+    rec(Q, 0, [])
+    return sorted(set(found), key=Poly.sort_key)
+
+
+def _assert_y_roots_match(Q, k, seed):
+    # same list, and the same draws taken from the shared rng
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = kl.y_roots(Q, k, rng)
+    assert got == _reference_y_roots(Q, k, ref_rng), (Q.field, Q.coeffs, k)
+    assert rng.random() == ref_rng.random()
+    return got
+
+
+def test_y_roots_matches_reference_recursion(f8, f9):
+    for n, (field, pts, params) in enumerate(_interpolation_corpus(f8, f9, 216)):
+        _assert_y_roots_match(kl.interpolate(field, pts, params), params.k, n)
+
+
+def test_y_roots_matches_reference_on_known_roots(f8, f9):
+    fields = _corpus_fields(f8, f9)
+    rng = random.Random(19)
+    for n in range(72):
+        field, k = fields[n % len(fields)], n % 4
+        ts = [Poly(field, [field.random_element(rng) for _ in range(k + 1)])
+              for _ in range(rng.randrange(1, 4))]
+        # an x-power factor checks the strip at the root of the recursion
+        Q = ld.BivariatePoly(field, k, {(rng.randrange(3), 0): field.one})
+        for t in ts:
+            Q = Q * ld.BivariatePoly.y_minus(field, k, t)
+        got = _assert_y_roots_match(Q, k, n)
+        assert {t.coeffs for t in got} == {t.coeffs for t in ts}
 
 
 def test_y_roots_product(f7):
@@ -159,6 +252,8 @@ def test_y_roots_edge_cases(f7):
     assert kl.y_roots(just_x, 1) == []
     with pytest.raises(ValueError):
         kl.y_roots(ld.BivariatePoly.zero(f7, 1), 1)
+    with pytest.raises(ValueError):
+        kl.y_roots(just_y, -1)
 
 
 def test_y_roots_bound(f31):
