@@ -112,15 +112,22 @@ def _dump_json(doc: dict, path: str):
 
 
 def _build_gen_context(args):
+    # flags that need no field are checked before F_{p^d} and its tables exist
+    if args.kind == "kummer":
+        if args.n is None:
+            raise ValueError("--n is required for kummer instances")
+        if args.n < 2:
+            raise ValueError("extension degree n must be >= 2")
+        if args.d >= 1 and pow(args.p, args.d, args.n) != 1:
+            raise extfield.NotDividing(f"n = {args.n} does not divide "
+                                       f"{args.p}^{args.d} - 1")
+    elif args.d != 1:
+        raise ValueError("artin_schreier instances need d = 1")
     field = build_field(args.p, args.d, rng_seed=args.seed)
     a = _parse_element(field, args.a)
     b = _parse_element(field, args.b)
     if args.kind == "kummer":
-        if args.n is None:
-            raise ValueError("--n is required for kummer instances")
         return build_kummer(field, args.n, a, b)
-    if args.d != 1:
-        raise ValueError("artin_schreier instances need d = 1")
     return ASContext(field, a, b)
 
 
@@ -216,8 +223,6 @@ def cmd_count(args) -> int:
                 raise ValueError("--w is required unless --tail-ratio is given")
             print(count_N(args.w, args.n, args.q))
     except _PARAM_ERRORS as exc:
-        return _fail(EXIT_PARAMS, exc)
-    except Exception as exc:  # TooLarge from digits
         return _fail(EXIT_PARAMS, exc)
     return EXIT_OK
 

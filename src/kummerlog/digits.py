@@ -9,11 +9,13 @@ involved.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 TAIL_DP_GUARD = 10**6
+COUNT_DP_GUARD = 10**6
 
 
 class EmptySet(ValueError):
@@ -127,7 +129,14 @@ def count_N(w: int, n: int, q: int) -> int:
         raise ValueError("need q >= 2")
     if w > n * (q - 1):
         return 0
-    return count_table(n, q, w).count(w, n)
+    if n * w > COUNT_DP_GUARD:
+        raise TooLarge(f"n*w = {n * w} exceeds DP guard {COUNT_DP_GUARD}")
+    # one rolling row: the next row is a width-q window sum of prefix sums
+    row = [1] + [0] * w
+    for _ in range(n):
+        pre = list(itertools.accumulate(row, initial=0))
+        row = [pre[v + 1] - pre[max(0, v - q + 1)] for v in range(w + 1)]
+    return row[w]
 
 
 def sample_bounded_sum(n: int, q: int, s_max: int, rng: random.Random,

@@ -498,8 +498,9 @@ def y_roots(Q: BivariatePoly, k: int | None = None,
     branch goes on with Q(x, xy + c): the Taylor matrix
     T[s][j] = C(j, s) c^(j-s) times the rows, row s then moved s columns
     right.  At depth k a root is kept when the Horner pass Q(x, c) over the
-    rows is zero.  Sections are factored depth first, in root order, so the
-    draws taken from rng do not depend on the layout.
+    rows is zero.  Sections go to `poly.roots` depth first, in root order.
+    On a field small enough to walk (`poly._by_evaluation`) that takes no
+    draw from rng; on a larger one the draws do not depend on the layout.
     """
     if Q.is_zero():
         raise ValueError("y_roots needs a nonzero polynomial")

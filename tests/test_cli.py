@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -186,6 +187,45 @@ def test_count_examples(capsys):
 def test_count_bad_params(capsys):
     assert main(["count", "--n", "4", "--q", "5"]) == 2
     assert main(["count", "--tail-ratio", "--n", "2000", "--q", "1000"]) == 2
+
+
+def test_count_guard_exit2_fast(capsys):
+    # the rolling-row DP refuses n*w beyond its guard instead of allocating it
+    t0 = time.perf_counter()
+    assert main(["count", "--w", "200000", "--n", "200000", "--q", "3"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "TooLarge" in capsys.readouterr().err
+
+
+def test_count_propagates_internal_faults(monkeypatch):
+    # only parameter errors map to exit 2; anything else is a fault
+    from kummerlog import cli
+
+    def broken(w, n, q):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "count_N", broken)
+    with pytest.raises(RuntimeError):
+        main(["count", "--w", "5", "--n", "4", "--q", "5"])
+
+
+@pytest.mark.parametrize("command", ["gen", "order"])
+@pytest.mark.parametrize("flags", [
+    ["--kind", "artin_schreier", "--p", "97", "--d", "3", "--a", "1", "--b", "1"],
+    ["--p", "97", "--d", "3", "--a", "1", "--b", "2"],
+    ["--p", "97", "--d", "3", "--n", "1", "--a", "1", "--b", "2"],
+    ["--p", "97", "--d", "3", "--n", "5", "--a", "1", "--b", "2"],
+], ids=["as_needs_d1", "n_required", "n_below_2", "n_not_dividing"])
+def test_gen_order_flag_errors_before_field_build(monkeypatch, tmp_path, command, flags):
+    # none of these needs F_{97^3}, so it is never built
+    from kummerlog import cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("field built before the flag checks")
+
+    monkeypatch.setattr(cli, "build_field", no_build)
+    out = ["--out", str(tmp_path / "x.json")] if command == "gen" else []
+    assert main([command, *flags, *out]) == 2
 
 
 def test_order_probe(capsys):

@@ -1,5 +1,6 @@
-"""Fuzz the `kummerlog solve` document surface: any instance or secret file,
-however mangled, ends in a documented exit code and never in a traceback."""
+"""Fuzz the `kummerlog solve` document surface and the `gen`/`order` flags:
+any instance or secret file, however mangled, and any flag combination end
+in a documented exit code and never in a traceback."""
 
 import copy
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from kummerlog.cli import main  # noqa: E402
 
@@ -84,3 +85,45 @@ def test_solve_fuzzed_documents(data, strategy):
         code = main(["solve", "--in", str(inst), "--secret-in", str(sec),
                      "--strategy", strategy])
     assert code in DOCUMENTED_EXITS
+
+
+# element flags: int indices, coefficient lists, and malformed text
+_ELEMENT_TEXT = st.one_of(
+    st.integers(-3, 1100).map(str),
+    st.lists(st.integers(-2, 12), min_size=1, max_size=4).map(
+        lambda cs: ",".join(map(str, cs))),
+    st.sampled_from([",", "x", "", "1,,2", "-", " 3", "0x5", "1.5",
+                     ",".join(["1"] * 40), "9" * 40]),
+)
+
+
+@st.composite
+def _context_flags(draw):
+    """--kind/--p/--d/--n/--a/--b with |p|^d <= 1000, as `--flag=value` words,
+    biased towards valid values so that some runs get past the checks."""
+    p = draw(st.one_of(st.sampled_from([5, 7, 31, 3, 2]), st.integers(-3, 100)))
+    d = draw(st.sampled_from([1, 1, 1, 2, 3, -1, 0, 4]))
+    q = abs(p) ** max(d, 1)
+    assume(q <= 1000)
+    element = st.one_of(st.integers(1, max(1, q - 1)).map(str), _ELEMENT_TEXT)
+    words = [f"--kind={draw(st.sampled_from(['kummer', 'artin_schreier']))}",
+             f"--p={p}", f"--d={d}", f"--a={draw(element)}", f"--b={draw(element)}"]
+    divisors = [n for n in range(2, 13) if (q - 1) % n == 0]
+    n = draw(st.sampled_from(divisors * 3 + [None, -1, 0, 1, 5, 12]))
+    if n is not None:
+        words.append(f"--n={n}")
+    return words
+
+
+@settings(max_examples=150, deadline=5000, derandomize=True, database=None)
+@given(data=st.data(), flags=_context_flags())
+def test_gen_and_order_fuzzed_flags(data, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        gen = ["gen", *flags, f"--out={Path(tmp) / 'i.json'}",
+               f"--secret-out={Path(tmp) / 's.json'}",
+               f"--min-nonzero={data.draw(st.integers(-1, 5))}"]
+        sum_bound = data.draw(st.one_of(st.none(), st.integers(-2, 20)))
+        if sum_bound is not None:
+            gen.append(f"--sum-bound={sum_bound}")
+        assert main(gen) in {0, 2, 3}
+    assert main(["order", *flags]) in {0, 2, 3}

@@ -158,6 +158,15 @@ def test_tail_ratio_guard():
         kl.tail_ratio(2000, 1000)
 
 
+def test_count_N_guard_and_table_agreement():
+    with pytest.raises(dg.TooLarge):
+        kl.count_N(200000, 200000, 3)
+    # the rolling row gives the full table's entries
+    for n, q in ((0, 2), (1, 5), (6, 3), (9, 4)):
+        table = dg.count_table(n, q, n * (q - 1))
+        assert [kl.count_N(w, n, q) for w in range(n * (q - 1) + 1)] == table.rows[n]
+
+
 def test_proof_constants_b_side_and_max_summand():
     # the B-side bound and its maximal summand; exact big-integer comparisons
     for n in (50, 100, 200):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import kummerlog as kl
+from kummerlog import ff, poly
 from kummerlog.poly import DivisionByZeroPoly, Poly, ext_gcd
 
 
@@ -102,6 +103,53 @@ def test_roots_match_exhaustive_evaluation(f5, f9, f8):
             got = dict(kl.roots(f, rng))
             simple = {x for x in field.elements() if f.eval(x) == field.zero}
             assert set(got) == simple
+            assert kl.roots(f, random.Random(1)) == kl.roots(f, random.Random(2))
+
+
+def test_roots_edge_cases(f5):
+    with pytest.raises(ValueError):
+        kl.roots(Poly.zero(f5))
+    assert kl.roots(P(f5, 3)) == []
+    assert kl.factor(P(f5, 3)) == (3, [])
+
+
+def test_root_selection_sides():
+    # walk the field while q <= EVAL_CROSSOVER * log2(q) * deg, never past ENUM_LIMIT
+    assert poly._by_evaluation(31, 1) and poly._by_evaluation(31, 15)
+    assert poly._by_evaluation(191, 2) and poly._by_evaluation(49, 1)
+    assert not poly._by_evaluation(65537, 16)
+    assert not poly._by_evaluation(2**31 - 1, 1000)
+    assert not poly._by_evaluation(ff.ENUM_LIMIT + 1, 10**6)
+    # the embedding's view of F_{5^4} finds the roots of a quartic by the gcd side
+    assert not poly._by_evaluation(5**4, 4)
+
+
+@pytest.mark.parametrize("p", [5, 31, 191])
+def test_linear_part_sides_agree(monkeypatch, p, f9, f8):
+    # each side on the same inputs: the roots with multiplicities and the cofactor
+    rng = random.Random(p)
+    for field in (kl.build_field(p), f9, f8):
+        cases = []
+        for _ in range(30):
+            f = Poly.one(field)
+            for _ in range(rng.randrange(0, 4)):
+                g = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(1, 4))]
+                         + [field.one])
+                f = f * g * g if rng.random() < 0.3 else f * g
+            cases.append(f)
+        results = []
+        for by_eval in (True, False):
+            monkeypatch.setattr(poly, "_by_evaluation", lambda q, deg, by_eval=by_eval: by_eval)
+            results.append([(sorted(lin), rest) for lin, rest in
+                            (poly._linear_part(f, random.Random(3)) for f in cases)])
+        assert results[0] == results[1]
+        for f, (lin, rest) in zip(cases, results[0]):
+            assert all(rest.eval(x) != field.zero for x in field.elements())
+            prod = rest
+            for r, mult in lin:
+                for _ in range(mult):
+                    prod = prod * Poly(field, [field.neg(r), field.one])
+            assert prod == f
 
 
 def test_is_irreducible_examples(f5):
@@ -191,7 +239,8 @@ def test_factor_and_roots_match_sympy():
     # an oracle independent of this package: sympy's factor_list over GF(p)
     sp = pytest.importorskip("sympy")
     rng = random.Random(19)
-    for p in (2, 3, 5, 7, 31, 101):
+    # 191 walks the field; 65537 and 2^31 - 1 split gcd(f, x^q - x) instead
+    for p in (2, 3, 5, 7, 31, 101, 191, 65537, 2**31 - 1):
         field = kl.build_field(p)
         for _ in range(25):
             f = Poly.constant(field, field.random_nonzero(rng))
@@ -204,3 +253,6 @@ def test_factor_and_roots_match_sympy():
             assert (lc, {g.coeffs: e for g, e in facs}) == (want_lc, want)
             want_roots = sorted((-c[0] % p, e) for c, e in want.items() if len(c) == 2)
             assert kl.roots(f, rng) == want_roots
+            # the results are unique, so the rng state does not show in them
+            assert kl.factor(f, random.Random(1)) == kl.factor(f, random.Random(2))
+            assert kl.roots(f, random.Random(1)) == kl.roots(f, random.Random(2))
