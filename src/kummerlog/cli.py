@@ -25,12 +25,8 @@ EXIT_IO = 3
 EXIT_MISMATCH = 4
 EXIT_UNSOLVED = 5
 
-_PARAM_ERRORS = (
-    ff.NotPrime, ff.ReducibleModulus, ff.DegreeMismatch, ff.FieldMismatch,
-    ff.TooLarge, extfield.NotDividing, extfield.ReducibleBinomial,
-    extfield.ZeroOffset, extfield.ZeroConstant, extfield.ContextMismatch,
-    extfield.DigitOutOfRange, ValueError, KeyError,
-)
+# every ff and extfield parameter error subclasses ValueError
+_PARAM_ERRORS = (ValueError, KeyError)
 
 _UNSOLVED_ERRORS = (solver.NotSplit, solver.RootNotInTable, solver.NoCandidate,
                     solver.Unsolvable)

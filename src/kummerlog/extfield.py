@@ -156,6 +156,10 @@ class _ContextBase:
     def frobenius_element(self, i: int) -> ExtElement:
         raise NotImplementedError
 
+    def conjugate_index(self, d) -> int | None:
+        """Index i whose monic conjugate factor is x + d, or None."""
+        return self.root_index.get(d)
+
     def random_element(self, rng: random.Random) -> ExtElement:
         cs = [self.base.random_element(rng) for _ in range(self.degree)]
         return ExtElement(self, Poly(self.base, cs))
@@ -194,7 +198,6 @@ class KummerContext(_ContextBase):
         self.conj_table = tuple(table)
         if len(set(table)) != n or base.mul(table[-1], self.h) != base.one:
             raise ReducibleBinomial("h does not have multiplicative order n")
-        self.conj_lookup = {hp: i for i, hp in enumerate(table)}
         # monic conjugate factor x + b/h^i; its negated constant is the point x_i
         consts = [base.mul(b, base.inv(hp)) for hp in table]
         self.root_index = {d: i for i, d in enumerate(consts)}
@@ -207,10 +210,6 @@ class KummerContext(_ContextBase):
     def frobenius_element(self, i: int) -> ExtElement:
         """g^(q^i) = h^i * alpha + b, straight from the conjugate table."""
         return ExtElement(self, Poly(self.base, [self.b, self.conj_table[i]]))
-
-    def conjugate_index(self, d) -> int | None:
-        """Index i with x + d = (x + b/h^i), or None."""
-        return self.root_index.get(d)
 
     def expected_lc(self, digits) -> int:
         """Leading coefficient h^(sum i*e_i) of the conjugate-factor product."""
@@ -262,8 +261,7 @@ class ASContext(_ContextBase):
         coeffs = [(-a) % p, (p - 1)] + [0] * (p - 2) + [1]
         self.modulus = Poly(base, coeffs)
         self.conj_offsets = tuple((b + i * a) % p for i in range(p))
-        self.conj_lookup = {off: i for i, off in enumerate(self.conj_offsets)}
-        self.root_index = self.conj_lookup
+        self.root_index = {off: i for i, off in enumerate(self.conj_offsets)}
         self.point_xs = tuple((-off) % p for off in self.conj_offsets)
         self.denom = (-a) % p
         self._finish_init()
@@ -271,9 +269,6 @@ class ASContext(_ContextBase):
     def frobenius_element(self, i: int) -> ExtElement:
         """g^(p^i) = alpha + b + i*a."""
         return ExtElement(self, Poly(self.base, [self.conj_offsets[i], self.base.one]))
-
-    def conjugate_index(self, d) -> int | None:
-        return self.root_index.get(d)
 
     def expected_lc(self, digits) -> int:
         return self.base.one

@@ -9,11 +9,18 @@ comparable, and it lets the hot loops in `poly` stay on machine ints.
 Extension fields precompute discrete-log tables over a primitive element,
 so mul/inv/pow are O(1) lookups; that is why extension construction is
 guarded to q <= 2^20.
+
+The `v*` methods apply the same arithmetic elementwise to numpy int64 arrays
+of element encodings, so array code (the list decoder) is written once for
+every q: prime fields reduce residues mod p, extension fields go through
+numpy copies of the tables.
 """
 
 from __future__ import annotations
 
 import random
+
+import numpy as np
 
 
 class NotPrime(ValueError):
@@ -93,6 +100,7 @@ class Field:
         "p", "d", "q", "modulus",
         "zero", "one",
         "_exp", "_log", "_add_table", "_neg_table",
+        "_vexp", "_vlog", "_vadd_table", "_powers_of_p",
     )
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
@@ -106,6 +114,7 @@ class Field:
                 raise DegreeMismatch("prime field takes no modulus")
             self.modulus = None
             self._exp = self._log = self._add_table = self._neg_table = None
+            self._vexp = self._vlog = self._vadd_table = self._powers_of_p = None
         else:
             if self.q > ENUM_LIMIT:
                 raise TooLarge(f"extension field with q = {self.q} exceeds table guard {ENUM_LIMIT}")
@@ -182,6 +191,15 @@ class Field:
             exp[q - 1 + i] = exp[i]
         self._exp = exp
         self._log = log
+        # array copies: log(0) is a sentinel past any sum of two logs, and
+        # every index from it on reads the zero tail of exp
+        zero_log = len(exp)
+        self._vlog = np.array(log, dtype=np.int64)
+        self._vlog[0] = zero_log
+        self._vexp = np.array(exp + [0] * (zero_log + 1), dtype=np.int64)
+        self._vadd_table = (None if self._add_table is None
+                            else np.array(self._add_table, dtype=np.int64))
+        self._powers_of_p = p ** np.arange(d, dtype=np.int64)
 
     def _pow_raw(self, x: int, e: int) -> int:
         r = 1
@@ -240,6 +258,47 @@ class Field:
         if self.d == 1:
             return pow(x, e, self.p)
         return self._exp[(self._log[x] * e) % (self.q - 1)]
+
+    # -- elementwise arithmetic on int64 arrays of elements ------------------
+    #
+    # Arguments broadcast like numpy operands; a scalar argument may be a
+    # plain int.  For prime fields every product of two residues is below
+    # 2^62 (p < 2^31), so each product is reduced before it is summed.
+
+    def vmul(self, x, y):
+        """Elementwise x * y."""
+        if self.d == 1:
+            return x * y % self.p
+        return self._vexp[self._vlog[x] + self._vlog[y]]
+
+    def vaxpy(self, y, c, x):
+        """Elementwise y + c * x."""
+        if self.d == 1:
+            return (c * x + y) % self.p
+        cx = self.vmul(c, x)
+        if self.p == 2:
+            return y ^ cx
+        if self._vadd_table is not None:
+            return self._vadd_table[y, cx]
+        return (self._digits(y) + self._digits(cx)) % self.p @ self._powers_of_p
+
+    def vsum(self, x, axis: int, starts=None):
+        """Sum of x along axis, or over the segments of that axis that begin at
+        the indices `starts` (as `np.add.reduceat`)."""
+        if self.d > 1 and self.p == 2:
+            xor = np.bitwise_xor
+            return xor.reduce(x, axis) if starts is None else xor.reduceat(x, starts, axis)
+        if self.d > 1:
+            # sum the coefficient vectors, held on a new last axis
+            axis %= x.ndim
+            x = self._digits(x)
+        s = np.add.reduce(x, axis) if starts is None else np.add.reduceat(x, starts, axis)
+        s %= self.p
+        return s if self.d == 1 else s @ self._powers_of_p
+
+    def _digits(self, x):
+        """Coefficient vectors of an array of elements, on a new last axis."""
+        return np.asarray(x)[..., None] // self._powers_of_p % self.p
 
     # -- canonical form, ordering, serialization ------------------------------
 
@@ -301,10 +360,13 @@ def build_field(p: int, d: int = 1, modulus=None, rng_seed: int = 0) -> Field:
     int coefficient list; when absent, a monic irreducible of degree d is
     found by seeded random sampling.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int):
         raise NotPrime(f"{p} is not prime")
+    # the bound comes first: trial division of a prime near 2^61 takes minutes
     if p >= MAX_PRIME:
         raise TooLarge(f"p must be below 2^31, got {p}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if d < 1:
         raise DegreeMismatch("extension degree must be >= 1")
     if d == 1:

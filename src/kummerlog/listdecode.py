@@ -15,9 +15,10 @@ scaled to leading coefficient 1.  This is the kernel vector of the first
 free column when the columns are ordered that way.
 
 Roth-Ruckenstein root finding then runs on Q's coefficients as a dense
-(j, i) array, row j holding the x-coefficients of y^j.  Both stages keep
-prime-field residues in numpy int64 arrays and run the same steps through
-field ops for extensions.
+(j, i) array, row j holding the x-coefficients of y^j.  Both stages hold
+field elements in numpy int64 arrays and do all their arithmetic through
+the `ff.Field` array methods (`vmul`, `vaxpy`, `vsum`), so one body serves
+prime and extension base fields alike.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import random
 
 import numpy as np
 
-from . import ff
 from .poly import Poly, roots as _poly_roots
 
 
@@ -195,26 +195,17 @@ def _pow(field, x, e: int):
 # -- interpolation ------------------------------------------------------------------
 
 
-def _taylor_rows(field, a, m: int, width: int) -> list[list]:
-    """rows[r][i] = C(i, r) a^(i-r), the x^r coefficient of (x + a)^i, for r < m."""
-    zero = field.zero
-    col = [field.one] + [zero] * (m - 1)
-    cols = [col]
-    for _ in range(1, width):
-        col = [field.add(field.mul(a, c), prev) for c, prev in zip(col, [zero] + col[:-1])]
-        cols.append(col)
-    return [list(row) for row in zip(*cols)]
+class _Taylor:
+    """Tables T[r][i] = C(i, r) a^(i-r) for r < rows, i < width.
 
-
-class _PrimeTaylor:
-    """Tables T[r][i] = C(i, r) a^(i-r) mod p for r < rows, i < width.
-
-    The binomials mod p are built once; each table then costs the powers of
-    a and one vectorized product, with no per-entry field call.
+    The binomials are built once mod p.  They are prime-subfield elements,
+    whose encodings are the residues themselves, so each table then costs
+    the powers of a and one `vmul`.
     """
 
-    def __init__(self, p: int, rows: int, width: int):
-        self.p = p
+    def __init__(self, field, rows: int, width: int):
+        self.field = field
+        p = field.p
         binom = np.zeros((rows, width), dtype=np.int64)
         binom[0] = 1
         for r in range(1, rows):
@@ -224,15 +215,11 @@ class _PrimeTaylor:
         self.exps = np.maximum(np.arange(width) - np.arange(rows)[:, None], 0)
 
     def table(self, a: int):
-        p = self.p
-        powers = [1] * self.binom.shape[1]
-        for e in range(1, len(powers)):
-            powers[e] = powers[e - 1] * a % p
-        return self.binom * np.array(powers, dtype=np.int64)[self.exps] % p
-
-
-def _is_prime_field(field) -> bool:
-    return isinstance(field, ff.Field) and field.d == 1
+        f = self.field
+        powers = [f.one]
+        for _ in range(1, self.binom.shape[1]):
+            powers.append(f.mul(powers[-1], a))
+        return f.vmul(self.binom, np.array(powers, dtype=np.int64)[self.exps])
 
 
 class _Layout:
@@ -264,109 +251,6 @@ class _Layout:
         self.initial_leads = [pos[(0, j)] for j in range(params.y_degree_cap + 1)]
 
 
-def _interpolate_prime(field, points, params: DecodeParams) -> dict:
-    # gens[g] is generator g's coefficient vector and tab[g, r, s] its
-    # D_(r,s) at the current point (entries r + s < m used).  Residues are
-    # below p < 2^31, so a product of two is below 2^62: products are reduced
-    # before they are summed, and at most one residue joins an unreduced one.
-    p, m, D = field.p, params.multiplicity, params.weighted_degree_bound
-    lay = _Layout(params)
-    J = params.y_degree_cap + 1
-    lead = list(lay.initial_leads)
-    gens = np.zeros((J, len(lay.shift)), dtype=np.int64)
-    gens[range(J), lead] = 1
-    shift, rows, starts = np.array(lay.shift), np.array(lay.rows), lay.starts[:-1]
-    taylor_x, taylor_y = _PrimeTaylor(p, m, D + 1), _PrimeTaylor(p, m, J)
-    for a, b in points:
-        hx = taylor_x.table(a)[:, lay.xexp]
-        hy = taylor_y.table(b).T
-        by_row = gens[:, rows]
-        tab = np.empty((len(lead), m, m), dtype=np.int64)
-        for r in range(m):
-            u = np.add.reduceat(by_row * hx[r] % p, starts, axis=1) % p
-            tab[:, r] = (u[:, :, None] * hy % p).sum(axis=1) % p
-        for r in range(m):
-            for s in range(m - r):
-                disc = tab[:, r, s]
-                nz = np.flatnonzero(disc)
-                if not nz.size:
-                    continue
-                f = min(nz.tolist(), key=lead.__getitem__)
-                c = -disc * pow(int(disc[f]), p - 2, p) % p
-                c[f] = 0
-                head = gens[:, :lead[f] + 1]
-                t = c[:, None] * head[f]
-                t += head
-                np.remainder(t, p, out=head)
-                t = c[:, None, None] * tab[f]
-                t += tab
-                np.remainder(t, p, out=tab)
-                if lay.up[lead[f]] < 0:
-                    gens = np.delete(gens, f, axis=0)
-                    tab = np.delete(tab, f, axis=0)
-                    del lead[f]
-                    continue
-                # multiply by (x - a); D_(r,s) of the product at a is D_(r-1,s)
-                gens[f] = (gens[f, shift] - a * gens[f]) % p
-                tab[f, 1:] = tab[f, :-1]
-                tab[f, 0] = 0
-                lead[f] = lay.up[lead[f]]
-    return dict(zip(lay.monos, gens[min(range(len(lead)), key=lead.__getitem__)].tolist()))
-
-
-def _interpolate_field(field, points, params: DecodeParams) -> dict:
-    # the same recurrence through field ops, with tab[g][r*m + s] = D_(r,s) gens[g]
-    zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
-    m, D = params.multiplicity, params.weighted_degree_bound
-
-    def dot(us, vs):
-        acc = zero
-        for u, v in zip(us, vs):
-            if u != zero:
-                acc = add(acc, mul(u, v))
-        return acc
-
-    lay = _Layout(params)
-    J = params.y_degree_cap + 1
-    lead = list(lay.initial_leads)
-    gens = [[zero] * len(lay.shift) for _ in range(J)]
-    for g, c in enumerate(lead):
-        gens[g][c] = field.one
-    for a, b in points:
-        hx = _taylor_rows(field, a, m, D + 1)
-        hy = _taylor_rows(field, b, m, J)
-        tab = []
-        for g in gens:
-            by_row = [g[c] for c in lay.rows]
-            t = []
-            for r in range(m):
-                u = [dot(by_row[lay.starts[j]:lay.starts[j + 1]], hx[r]) for j in range(J)]
-                t.extend(dot(u, hy[s]) for s in range(m))
-            tab.append(t)
-        for r in range(m):
-            for s in range(m - r):
-                disc = [t[r * m + s] for t in tab]
-                nz = [g for g, d in enumerate(disc) if d != zero]
-                if not nz:
-                    continue
-                f = min(nz, key=lead.__getitem__)
-                inv = field.inv(disc[f])
-                e = lead[f] + 1
-                for g in nz:
-                    if g != f:
-                        c = mul(disc[g], inv)
-                        gens[g][:e] = [sub(u, mul(c, v)) for u, v in zip(gens[g][:e], gens[f])]
-                        tab[g] = [sub(u, mul(c, v)) for u, v in zip(tab[g], tab[f])]
-                if lay.up[lead[f]] < 0:
-                    del gens[f], tab[f], lead[f]
-                    continue
-                old = gens[f]
-                gens[f] = [sub(old[src], mul(a, c)) for src, c in zip(lay.shift, old)]
-                tab[f] = [zero] * m + tab[f][:-m]
-                lead[f] = lay.up[lead[f]]
-    return dict(zip(lay.monos, gens[min(range(len(lead)), key=lead.__getitem__)]))
-
-
 def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
     """Nonzero Q of weighted degree <= D vanishing to order m at every point.
 
@@ -383,106 +267,101 @@ def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
     for one at or below D.  Leading coefficients stay 1, and the result is
     the least generator: the only element of the interpolation module with
     the least leading monomial and leading coefficient 1.
+
+    The generators and their derivatives are int64 arrays of elements of
+    `field`, an `ff.Field`, and all arithmetic on them is its `v*` methods.
     """
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct x-coordinates")
     if len(points) != params.n_points:
         raise ValueError("point count does not match params")
-    if _is_prime_field(field):
-        coeffs = _interpolate_prime(field, points, params)
-    else:
-        coeffs = _interpolate_field(field, points, params)
-    return BivariatePoly(field, params.k, coeffs)
+    # gens[g] is generator g's coefficient vector and tab[g, r, s] its
+    # D_(r,s) at the current point (entries r + s < m used)
+    vmul, vsum, vaxpy = field.vmul, field.vsum, field.vaxpy
+    m, D = params.multiplicity, params.weighted_degree_bound
+    lay = _Layout(params)
+    J = params.y_degree_cap + 1
+    lead = list(lay.initial_leads)
+    gens = np.zeros((J, len(lay.shift)), dtype=np.int64)
+    gens[range(J), lead] = field.one
+    shift, rows, starts = np.array(lay.shift), np.array(lay.rows), lay.starts[:-1]
+    taylor_x, taylor_y = _Taylor(field, m, D + 1), _Taylor(field, m, J)
+    for a, b in points:
+        hx = taylor_x.table(a)[:, lay.xexp]
+        hy = taylor_y.table(b).T
+        by_row = gens[:, rows]
+        tab = np.empty((len(lead), m, m), dtype=np.int64)
+        for r in range(m):
+            u = vsum(vmul(by_row, hx[r]), 1, starts)
+            tab[:, r] = vsum(vmul(u[:, :, None], hy), 1)
+        for r in range(m):
+            for s in range(m - r):
+                disc = tab[:, r, s]
+                nz = np.flatnonzero(disc)
+                if not nz.size:
+                    continue
+                f = min(nz.tolist(), key=lead.__getitem__)
+                c = vmul(disc, field.neg(field.inv(int(disc[f]))))
+                c[f] = 0
+                head = gens[:, :lead[f] + 1]
+                head[...] = vaxpy(head, c[:, None], head[f])
+                tab[...] = vaxpy(tab, c[:, None, None], tab[f])
+                if lay.up[lead[f]] < 0:
+                    gens = np.delete(gens, f, axis=0)
+                    tab = np.delete(tab, f, axis=0)
+                    del lead[f]
+                    continue
+                # multiply by (x - a); D_(r,s) of the product at a is D_(r-1,s)
+                gens[f] = vaxpy(gens[f, shift], field.neg(a), gens[f])
+                tab[f, 1:] = tab[f, :-1]
+                tab[f, 0] = 0
+                lead[f] = lay.up[lead[f]]
+    least = gens[min(range(len(lead)), key=lead.__getitem__)]
+    return BivariatePoly(field, params.k, dict(zip(lay.monos, least.tolist())))
 
 
 # -- Roth-Ruckenstein y-root extraction ----------------------------------------------
 
 
-def _coeff_rows(Q: BivariatePoly) -> list[list]:
-    """Q's coefficients as a dense (j, i) grid: row j is y^j's coefficient in x."""
-    zero = Q.field.zero
-    grid = [[zero] * (max(i for i, _ in Q.coeffs) + 1) for _ in range(Q.y_degree() + 1)]
-    for (i, j), c in Q.coeffs.items():
-        grid[j][i] = c
-    return grid
-
-
-class _PrimeRows:
-    """Roth-Ruckenstein steps on a (j, i) int64 array of residues mod p."""
+class _Rows:
+    """Roth-Ruckenstein steps on a dense (j, i) int64 array of field elements,
+    row j holding the x-coefficients of y^j."""
 
     def __init__(self, field, J: int):
-        self.p = field.p
-        self.taylor = _PrimeTaylor(field.p, J, J)
+        self.field = field
+        self.taylor = _Taylor(field, J, J)
 
-    def load(self, grid):
-        return np.array(grid, dtype=np.int64)
+    @staticmethod
+    def load(Q: BivariatePoly):
+        grid = np.zeros((Q.y_degree() + 1, max(i for i, _ in Q.coeffs) + 1), dtype=np.int64)
+        for (i, j), c in Q.coeffs.items():
+            grid[j, i] = c
+        return grid
 
-    def strip(self, cur):
+    @staticmethod
+    def strip(cur):
         nz = np.flatnonzero(cur.any(axis=0))
         return cur[:, nz[0]:nz[-1] + 1]
 
-    def section(self, cur) -> list:
+    @staticmethod
+    def section(cur) -> list:
         return cur[:, 0].tolist()
 
     def vanishes(self, cur, c) -> bool:
-        p, acc = self.p, cur[-1]
+        acc = cur[-1]
         for row in cur[-2::-1]:
-            acc = (acc * c + row) % p
+            acc = self.field.vaxpy(row, c, acc)
         return not acc.any()
 
     def shift(self, cur, c):
-        # row s of Q(x, xy + c) is x^s sum_j C(j, s) c^(j-s) Q_j(x); each
-        # product is reduced before the J-term sum, which stays below 2^63
-        p = self.p
+        # row s of Q(x, xy + c) is x^s sum_j C(j, s) c^(j-s) Q_j(x)
+        f = self.field
         J, W = cur.shape
-        mixed = (self.taylor.table(c)[:, :, None] * cur % p).sum(axis=1) % p
+        mixed = f.vsum(f.vmul(self.taylor.table(c)[:, :, None], cur), 1)
         out = np.zeros((J, W + J - 1), dtype=np.int64)
         for s in range(J):
             out[s, s:s + W] = mixed[s]
-        return out
-
-
-class _FieldRows:
-    """The same steps on a list of rows, each a list of x-coefficients, through
-    field ops; rows may differ in length, missing entries being 0."""
-
-    def __init__(self, field, J: int):
-        self.field, self.J = field, J
-
-    def load(self, grid) -> list:
-        return grid
-
-    def strip(self, cur) -> list:
-        zero = self.field.zero
-        v = min(i for row in cur for i, c in enumerate(row) if c != zero)
-        return [row[v:] for row in cur]
-
-    def section(self, cur) -> list:
-        return [row[0] if row else self.field.zero for row in cur]
-
-    def vanishes(self, cur, c) -> bool:
-        acc = Poly.zero(self.field)
-        for row in reversed(cur):
-            acc = acc.mul_scalar(c) + Poly(self.field, row)
-        return acc.is_zero()
-
-    def shift(self, cur, c) -> list:
-        f = self.field
-        zero, add, mul = f.zero, f.add, f.mul
-        taylor = _taylor_rows(f, c, self.J, self.J)
-        out = []
-        for s in range(self.J):
-            acc: list = []
-            for j in range(s, self.J):
-                t, row = taylor[s][j], cur[j]
-                if t == zero:
-                    continue
-                acc.extend([zero] * (len(row) - len(acc)))
-                for i, x in enumerate(row):
-                    if x != zero:
-                        acc[i] = add(acc[i], mul(t, x))
-            out.append([zero] * s + acc)
         return out
 
 
@@ -490,17 +369,17 @@ def y_roots(Q: BivariatePoly, k: int | None = None,
             rng: random.Random | None = None) -> list[Poly]:
     """All t with deg t <= k and Q(x, t(x)) identically zero, sorted.
 
-    Roth-Ruckenstein recursion on Q's coefficients as a dense (j, i) array,
-    row j holding the x-coefficients of y^j: numpy residues for prime
-    fields, lists through field ops otherwise.  At each node the leading
-    all-zero columns are dropped (Q / x^v), the roots c of column 0,
-    Q(0, y), are the candidates for the next coefficient of t, and each
-    branch goes on with Q(x, xy + c): the Taylor matrix
-    T[s][j] = C(j, s) c^(j-s) times the rows, row s then moved s columns
-    right.  At depth k a root is kept when the Horner pass Q(x, c) over the
-    rows is zero.  Sections go to `poly.roots` depth first, in root order.
-    On a field small enough to walk (`poly._by_evaluation`) that takes no
-    draw from rng; on a larger one the draws do not depend on the layout.
+    Roth-Ruckenstein recursion on Q's coefficients as a dense (j, i) int64
+    array of elements of Q's `ff.Field`, row j holding the x-coefficients of
+    y^j.  At each node the leading all-zero columns are dropped (Q / x^v),
+    the roots c of column 0, Q(0, y), are the candidates for the next
+    coefficient of t, and each branch goes on with Q(x, xy + c): the Taylor
+    matrix T[s][j] = C(j, s) c^(j-s) times the rows, row s then moved s
+    columns right.  At depth k a root is kept when the Horner pass Q(x, c)
+    over the rows is zero.  Sections go to `poly.roots` depth first, in root
+    order.  On a field small enough to walk (`poly._by_evaluation`) that
+    takes no draw from rng; on a larger one the draws do not depend on the
+    layout.
     """
     if Q.is_zero():
         raise ValueError("y_roots needs a nonzero polynomial")
@@ -509,8 +388,7 @@ def y_roots(Q: BivariatePoly, k: int | None = None,
     if k < 0:
         raise ValueError("y_roots needs k >= 0")
     rng = rng if rng is not None else random.Random(0x27182818)
-    grid = _coeff_rows(Q)
-    rows = (_PrimeRows if _is_prime_field(field) else _FieldRows)(field, len(grid))
+    rows = _Rows(field, Q.y_degree() + 1)
     found: list[tuple] = []
 
     # y -> xy + c keeps a nonzero Q nonzero, and the strip leaves a nonzero
@@ -526,7 +404,7 @@ def y_roots(Q: BivariatePoly, k: int | None = None,
                 rec(rows.shift(cur, c), depth + 1, prefix)
                 prefix.pop()
 
-    rec(rows.load(grid), 0, [])
+    rec(rows.load(Q), 0, [])
     out = []
     seen = set()
     for tup in found:

@@ -197,6 +197,15 @@ def test_count_guard_exit2_fast(capsys):
     assert "TooLarge" in capsys.readouterr().err
 
 
+def test_order_refuses_a_large_prime_fast(capsys):
+    # 2^61 - 1 is prime; the p < 2^31 bound is tested before trial division
+    t0 = time.perf_counter()
+    assert main(["order", "--p", "2305843009213693951", "--n", "2", "--a", "1",
+                 "--b", "1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "TooLarge" in capsys.readouterr().err
+
+
 def test_count_propagates_internal_faults(monkeypatch):
     # only parameter errors map to exit 2; anything else is a fault
     from kummerlog import cli

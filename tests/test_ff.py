@@ -1,5 +1,8 @@
+import functools
 import random
+import time
 
+import numpy as np
 import pytest
 
 import kummerlog as kl
@@ -41,6 +44,14 @@ def test_build_field_errors():
         kl.build_field(5, 1, [1, 1])
     with pytest.raises(ff.TooLarge):
         kl.build_field(2147483659)  # first prime at or above 2^31
+
+
+def test_build_field_refuses_a_large_prime_at_once():
+    # the bound is tested before trial division, which would take minutes here
+    t0 = time.perf_counter()
+    with pytest.raises(ff.TooLarge):
+        kl.build_field(2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_modulus_search_is_seeded():
@@ -144,3 +155,42 @@ def test_validate(f5, f4):
 def test_embed_int(f5, f4):
     assert f5.embed_int(12) == 2
     assert f4.embed_int(3) == 1  # 3 mod 2, as a constant
+
+
+def _array_sample(field, rng, size):
+    # zeros, and the top residues: in F_{2^31 - 1} their products come
+    # within a few p of 2^62, the bound the prime path relies on
+    edge = [0, 0, 1] + [field.q - 1 - i for i in range(min(3, field.q - 1))]
+    vals = edge + [field.random_element(rng) for _ in range(size - len(edge))]
+    rng.shuffle(vals)
+    return vals
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (31, 1), (2**31 - 1, 1), (2, 2), (2, 3),
+                                  (3, 2), (5, 2), (2, 9), (3, 6)])
+def test_array_methods_match_scalar_ops(p, d):
+    # covers every add path: mod p, xor (p = 2), the add table (odd p,
+    # q <= 256) and coefficient by coefficient (F_{3^6}: odd p, q > 256)
+    field = kl.build_field(p, d, rng_seed=1)
+    rng = random.Random(p + d)
+    xs, ys, cs = (_array_sample(field, rng, 120) for _ in range(3))
+    x, y, c = (np.array(v, dtype=np.int64) for v in (xs, ys, cs))
+    assert field.vmul(x, y).tolist() == [field.mul(a, b) for a, b in zip(xs, ys)]
+    assert field.vaxpy(y, c, x).tolist() == [
+        field.add(b, field.mul(s, a)) for a, b, s in zip(xs, ys, cs)]
+    for s in (0, 1, field.q - 1, cs[0]):
+        # a scalar factor, as plain int, broadcasts
+        assert field.vmul(x, s).tolist() == [field.mul(a, s) for a in xs]
+        assert field.vaxpy(y, s, x).tolist() == [
+            field.add(b, field.mul(s, a)) for a, b in zip(xs, ys)]
+
+    def total(vals):
+        return functools.reduce(field.add, vals, field.zero)
+
+    grid = x.reshape(8, 15)
+    rows = grid.tolist()
+    assert field.vsum(grid, 0).tolist() == [total(col) for col in zip(*rows)]
+    assert field.vsum(grid, -1).tolist() == [total(row) for row in rows]
+    starts = [0, 4, 9]
+    assert field.vsum(grid, 1, starts).tolist() == [
+        [total(row[a:b]) for a, b in zip(starts, starts[1:] + [15])] for row in rows]

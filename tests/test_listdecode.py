@@ -70,7 +70,7 @@ def test_interpolate_rejects_repeated_x(f7):
 
 
 def test_interpolate_generic_field_path(f9):
-    # extension coefficients go through the field-op recurrence, not numpy
+    # extension coefficients take the log/exp-table side of the ff array methods
     rng = random.Random(11)
     xs = rng.sample(f9.elements(), 5)
     t = Poly(f9, [f9.random_element(rng), f9.random_element(rng)])
