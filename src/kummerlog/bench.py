@@ -18,13 +18,12 @@ from . import oracle
 from .digits import ExponentDigits, agreement_bound, relaxed_sum_bound, sample_bounded_sum
 from .extfield import build_artin_schreier, build_kummer, encode_digits, ext_pow
 from .ff import build_field
-from .solver import (DlpInstance, NoCandidate, NotSplit, RootNotInTable, solve_bounded,
-                     solve_listdecode)
+from .solver import DlpInstance, NoCandidate, ReadOffFailed, solve_bounded, solve_listdecode
 
 _BSGS_STEP_BUDGET = 4096
 
 # a miss counts as an unsuccessful trial; any other exception is a fault and propagates
-_MISSES = (NotSplit, RootNotInTable, NoCandidate,
+_MISSES = (ReadOffFailed, NoCandidate,
            oracle.BudgetExceeded, oracle.NotInSubgroup, oracle.NotFound)
 
 

@@ -28,8 +28,7 @@ EXIT_UNSOLVED = 5
 # every ff and extfield parameter error subclasses ValueError
 _PARAM_ERRORS = (ValueError, KeyError)
 
-_UNSOLVED_ERRORS = (solver.NotSplit, solver.RootNotInTable, solver.NoCandidate,
-                    solver.Unsolvable)
+_UNSOLVED_ERRORS = (solver.ReadOffFailed, solver.NoCandidate, solver.Unsolvable)
 
 
 def _fail(code: int, exc: BaseException) -> int:

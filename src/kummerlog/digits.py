@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-TAIL_DP_GUARD = 10**6
+TAIL_DP_GUARD = 7 * 10**6  # about 1 s of the (sum, zero-count) DP on a 2-vCPU Xeon VM
 COUNT_DP_GUARD = 10**6
 
 
@@ -189,9 +189,11 @@ def _sum_zero_counts(n: int, q: int) -> dict[tuple[int, int], int]:
     """Bounded-sum vectors by (digit sum, zero count), for sums <= floor(1.32 n)."""
     if n < 1 or q < 2:
         raise ValueError("need n >= 1, q >= 2")
-    if n * q > TAIL_DP_GUARD:
-        raise TooLarge(f"n*q = {n * q} exceeds DP guard {TAIL_DP_GUARD}")
     s_max = relaxed_sum_bound(n)
+    # steps x sums x zero counts x digits tried per state
+    size = n * (s_max + 1) * (n + 1) * min(q, s_max + 1)
+    if size > TAIL_DP_GUARD:
+        raise TooLarge(f"DP size {size} exceeds guard {TAIL_DP_GUARD}")
     state = {(0, 0): 1}
     for _ in range(n):
         nxt: dict[tuple[int, int], int] = {}

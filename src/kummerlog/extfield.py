@@ -2,12 +2,14 @@
 F_p[x]/(x^p - x - a), with the structure the solver leans on.
 
 Both kinds share one shape: the base element g = alpha + b has conjugates
-g^(q^i) that stay linear (h^i alpha + b, resp. alpha + b + i*a), so a context
-precomputes the full conjugate table once and the discrete-log machinery is
-written a single time against it:
+g^(q^i) = h^i alpha + b_i that stay linear, with (h, b_i) = (a^((q-1)/n), b)
+for Kummer and (1, b + i*a) for Artin-Schreier.  A kind supplies its modulus,
+h and the offsets b_i; one context body derives the rest once, and the
+discrete-log machinery is written a single time against it:
 
     frobenius_element(i)   the i-th conjugate of g, by table lookup
-    conjugate_index(d)     index i of the monic linear factor x + d, if any
+    root_index             constant d -> index i of the monic conjugate
+                           factor x + d
     expected_lc(digits)    leading coefficient of the conjugate product
     point_xs / denom       the interpolation points' x-coordinates and the
                            constant value of the modulus on them
@@ -110,9 +112,7 @@ class ExtElement:
     def inv(self) -> "ExtElement":
         if self.is_zero():
             raise ff.ZeroInverse("0 has no inverse")
-        d, u, _ = _poly.ext_gcd(self.poly, self.ctx.modulus)
-        if d.degree != 0:  # pragma: no cover - modulus is irreducible
-            raise ReducibleBinomial("modulus is not irreducible")
+        _, u, _ = _poly.ext_gcd(self.poly, self.ctx.modulus)
         return ExtElement(self.ctx, u % self.ctx.modulus)
 
     def pow_int(self, e: int) -> "ExtElement":
@@ -134,31 +134,76 @@ class ExtElement:
 
 
 class _ContextBase:
-    """Shared construction and arithmetic for both extension kinds."""
+    """The one body of both kinds.
 
-    def _finish_init(self):
-        self.zero_element = ExtElement(self, Poly.zero(self.base))
-        self.one_element = ExtElement(self, Poly.one(self.base))
-        self.alpha = ExtElement(self, Poly.x(self.base))
+    A kind validates its parameters, sets `modulus` = x^N - r(x) (deg r < N)
+    and its own attributes, and passes h and the offsets b_i of the
+    conjugates g^(q^i) = h^i alpha + b_i; everything else follows from them.
+    """
+
+    def __init__(self, base: ff.Field, h, offsets):
+        self.base = base
+        self.degree = n = len(offsets)
+        self.h = h
+        table = [base.one]
+        for _ in range(n - 1):
+            table.append(base.mul(table[-1], h))
+        self.conj_table = tuple(table)
+        self.conj_offsets = tuple(offsets)
+        # monic conjugate factor x + b_i/h^i; its negated constant is the point x_i
+        consts = [base.mul(b_i, base.inv(hp)) for b_i, hp in zip(offsets, table)]
+        self.root_index = {d: i for i, d in enumerate(consts)}
+        self.point_xs = tuple(base.neg(d) for d in consts)
+        # the modulus takes one value on every point (x_i^n = (-b)^n for Kummer,
+        # x^p = x on F_p for Artin-Schreier), nonzero as it has no root in F_q
+        self.denom = self.modulus.eval(self.point_xs[0])
+        self.denom_inv = base.inv(self.denom)
+        # x^N = r(x): a term c x^k with k >= N folds into r_j c x^(k + j - N)
+        self._fold = tuple((j - n, base.neg(c)) for j, c in enumerate(self.modulus.coeffs[:n])
+                           if c != base.zero)
+        self.zero_element = ExtElement(self, Poly.zero(base))
+        self.one_element = ExtElement(self, Poly.one(base))
+        self.alpha = ExtElement(self, Poly.x(base))
         self.generator = self.frobenius_element(0)
-        self.denom_inv = self.base.inv(self.denom)
+
+    def _reduce(self, p: Poly) -> Poly:
+        """p mod the modulus, in one top-down pass of x^N = r(x) for any degree."""
+        n = self.degree
+        if p.degree < n:
+            return p
+        base, fold = self.base, self._fold
+        cs = list(p.coeffs)
+        if base.d == 1:
+            pp = base.p
+            for k in range(len(cs) - 1, n - 1, -1):
+                c = cs[k]
+                if c:
+                    for shift, r in fold:
+                        cs[k + shift] = (cs[k + shift] + r * c) % pp
+        else:
+            add, mul, zero = base.add, base.mul, base.zero
+            for k in range(len(cs) - 1, n - 1, -1):
+                c = cs[k]
+                if c != zero:
+                    for shift, r in fold:
+                        cs[k + shift] = add(cs[k + shift], mul(r, c))
+        return Poly(base, cs[:n])
 
     def element(self, coeffs) -> ExtElement:
         """Build an element from base-field coefficients (low to high)."""
         p = coeffs if isinstance(coeffs, Poly) else Poly(self.base, list(coeffs))
-        if p.degree >= self.degree:
-            p = p % self.modulus
-        return ExtElement(self, p)
+        return ExtElement(self, self._reduce(p))
 
     def constant(self, c) -> ExtElement:
         return ExtElement(self, Poly.constant(self.base, self.base.validate(c)))
 
     def frobenius_element(self, i: int) -> ExtElement:
-        raise NotImplementedError
+        """g^(q^i) = h^i * alpha + b_i, straight from the conjugate table."""
+        return ExtElement(self, Poly(self.base, [self.conj_offsets[i], self.conj_table[i]]))
 
-    def conjugate_index(self, d) -> int | None:
-        """Index i whose monic conjugate factor is x + d, or None."""
-        return self.root_index.get(d)
+    def expected_lc(self, digits):
+        """Leading coefficient h^(sum i*e_i) of the conjugate-factor product."""
+        return self.conj_table[sum(i * e for i, e in enumerate(digits)) % self.degree]
 
     def random_element(self, rng: random.Random) -> ExtElement:
         cs = [self.base.random_element(rng) for _ in range(self.degree)]
@@ -182,58 +227,16 @@ class KummerContext(_ContextBase):
         b = base.validate(b)
         if b == base.zero:
             raise ZeroOffset("base offset b must be nonzero")
-        modulus = Poly(base, [base.neg(a)] + [base.zero] * (n - 1) + [base.one])
-        if a == base.zero or not _poly.is_irreducible(modulus):
+        # a root alpha has alpha^q = h*alpha, so its Frobenius orbit has the
+        # size of the order of h, and x^n - a is irreducible iff that is n
+        h = base.pow_(a, (q - 1) // n)
+        if a == base.zero or any(base.pow_(h, n // r) == base.one for r in ff._prime_factors(n)):
             raise ReducibleBinomial(f"x^{n} - {a} is reducible over {base!r}")
-        self.base = base
-        self.degree = n
         self.n = n
         self.a = a
         self.b = b
-        self.modulus = modulus
-        self.h = base.pow_(a, (q - 1) // n)
-        table = [base.one]
-        for _ in range(n - 1):
-            table.append(base.mul(table[-1], self.h))
-        self.conj_table = tuple(table)
-        if len(set(table)) != n or base.mul(table[-1], self.h) != base.one:
-            raise ReducibleBinomial("h does not have multiplicative order n")
-        # monic conjugate factor x + b/h^i; its negated constant is the point x_i
-        consts = [base.mul(b, base.inv(hp)) for hp in table]
-        self.root_index = {d: i for i, d in enumerate(consts)}
-        self.point_xs = tuple(base.neg(d) for d in consts)
-        self.denom = base.sub(base.pow_(base.neg(b), n), a)
-        if self.denom == base.zero:  # pragma: no cover - implied by irreducibility
-            raise ReducibleBinomial("(-b)^n = a contradicts irreducibility")
-        self._finish_init()
-
-    def frobenius_element(self, i: int) -> ExtElement:
-        """g^(q^i) = h^i * alpha + b, straight from the conjugate table."""
-        return ExtElement(self, Poly(self.base, [self.b, self.conj_table[i]]))
-
-    def expected_lc(self, digits) -> int:
-        """Leading coefficient h^(sum i*e_i) of the conjugate-factor product."""
-        s = sum(i * e for i, e in enumerate(digits)) % self.n
-        return self.conj_table[s]
-
-    def _reduce(self, p: Poly) -> Poly:
-        if p.degree < self.n:
-            return p
-        base, n, a = self.base, self.n, self.a
-        cs = list(p.coeffs)
-        if isinstance(base, ff.Field) and base.d == 1:
-            pp = base.p
-            for idx in range(len(cs) - 1, n - 1, -1):
-                c = cs[idx]
-                if c:
-                    cs[idx - n] = (cs[idx - n] + a * c) % pp
-        else:
-            add, mul = base.add, base.mul
-            for idx in range(len(cs) - 1, n - 1, -1):
-                c = cs[idx]
-                if c:
-                    cs[idx - n] = add(cs[idx - n], mul(a, c))
-        return Poly(base, cs[:n])
+        self.modulus = Poly(base, [base.neg(a)] + [base.zero] * (n - 1) + [base.one])
+        super().__init__(base, h, [b] * n)
 
     def __repr__(self):
         return f"Kummer({self.base!r}, n={self.n}, a={self.a}, b={self.b})"
@@ -252,40 +255,12 @@ class ASContext(_ContextBase):
         b = base.validate(b)
         if a == base.zero:
             raise ZeroConstant("x^p - x - a needs a != 0")
-        self.base = base
         self.p = p
-        self.degree = p
         self.a = a
         self.b = b
         # x^p - x - a, irreducible over F_p for every nonzero a
-        coeffs = [(-a) % p, (p - 1)] + [0] * (p - 2) + [1]
-        self.modulus = Poly(base, coeffs)
-        self.conj_offsets = tuple((b + i * a) % p for i in range(p))
-        self.root_index = {off: i for i, off in enumerate(self.conj_offsets)}
-        self.point_xs = tuple((-off) % p for off in self.conj_offsets)
-        self.denom = (-a) % p
-        self._finish_init()
-
-    def frobenius_element(self, i: int) -> ExtElement:
-        """g^(p^i) = alpha + b + i*a."""
-        return ExtElement(self, Poly(self.base, [self.conj_offsets[i], self.base.one]))
-
-    def expected_lc(self, digits) -> int:
-        return self.base.one
-
-    def _reduce(self, pl: Poly) -> Poly:
-        p = self.p
-        if pl.degree < p:
-            return pl
-        cs = list(pl.coeffs)
-        a = self.a
-        # x^(p+j) = x^(j+1) + a x^j; one top-down pass suffices for deg <= 2p-2
-        for idx in range(len(cs) - 1, p - 1, -1):
-            c = cs[idx]
-            if c:
-                cs[idx - p + 1] = (cs[idx - p + 1] + c) % p
-                cs[idx - p] = (cs[idx - p] + a * c) % p
-        return Poly(self.base, cs[:p])
+        self.modulus = Poly(base, [(-a) % p, (p - 1)] + [0] * (p - 2) + [1])
+        super().__init__(base, base.one, [(b + i * a) % p for i in range(p)])
 
     def __repr__(self):
         return f"ArtinSchreier(p={self.p}, a={self.a}, b={self.b})"

@@ -23,11 +23,15 @@ from .listdecode import agreement, list_decode
 from .poly import Poly, factor
 
 
-class NotSplit(ValueError):
+class ReadOffFailed(ValueError):
+    """A candidate f + modulus*t gave no digit vector; the message says why."""
+
+
+class NotSplit(ReadOffFailed):
     """Target does not factor into conjugate linear factors (digit sum too big)."""
 
 
-class RootNotInTable(ValueError):
+class RootNotInTable(ReadOffFailed):
     """A linear factor is not of conjugate form, or the leading coefficient is off."""
 
 
@@ -99,7 +103,7 @@ def _read_digits(ctx, F: Poly, rng: random.Random) -> ExponentDigits:
     for fac, mult in factors:
         if fac.degree != 1:
             raise NotSplit(f"irreducible factor of degree {fac.degree}")
-        i = ctx.conjugate_index(fac.coeff(0))
+        i = ctx.root_index.get(fac.coeff(0))
         if i is None:
             raise RootNotInTable(f"root constant {fac.coeff(0)} not in the conjugate table")
         if mult >= q:
@@ -165,7 +169,7 @@ def _read_off(inst: DlpInstance, rng: random.Random, relaxed: bool) -> SolveOutc
         seen.add(t.coeffs)
         try:
             digits = _read_digits(ctx, f + ctx.modulus * t, rng)
-        except (NotSplit, RootNotInTable) as exc:
+        except ReadOffFailed as exc:
             failure = exc
             continue
         return _verified(inst, digits, method)
@@ -192,7 +196,7 @@ def solve_listdecode(inst: DlpInstance, rng: random.Random | None = None) -> Sol
     rng = rng if rng is not None else random.Random(0x115D)
     try:
         out = _read_off(inst, rng, relaxed=True)
-    except (NotSplit, RootNotInTable) as exc:
+    except ReadOffFailed as exc:
         raise NoCandidate(f"no candidate produced a verified exponent; last: {exc}") from exc
     out.method = "list_decode"
     return out
@@ -229,7 +233,7 @@ def solve_auto(inst: DlpInstance, w_hint: int | None = None,
             pass
     try:
         return _read_off(inst, rng, relaxed=True)
-    except (NotSplit, RootNotInTable) as exc:
+    except ReadOffFailed as exc:
         if fallback_first:
             raise Unsolvable(f"all strategies failed; last error: {exc}") from exc
     return _solve_fallback(inst, budget)

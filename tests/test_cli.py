@@ -197,6 +197,15 @@ def test_count_guard_exit2_fast(capsys):
     assert "TooLarge" in capsys.readouterr().err
 
 
+def test_count_tail_ratio_guard_exit2_fast(capsys):
+    # n*q = 40000 passes a guard on n*q, but the (sum, zero-count) DP
+    # at (200, 200) would run for minutes
+    t0 = time.perf_counter()
+    assert main(["count", "--tail-ratio", "--n", "200", "--q", "200"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "TooLarge" in capsys.readouterr().err
+
+
 def test_order_refuses_a_large_prime_fast(capsys):
     # 2^61 - 1 is prime; the p < 2^31 bound is tested before trial division
     t0 = time.perf_counter()

@@ -156,6 +156,10 @@ def test_tail_ratio_monotone():
 def test_tail_ratio_guard():
     with pytest.raises(dg.TooLarge):
         kl.tail_ratio(2000, 1000)
+    # the guard is on the DP's size, not on n*q
+    for n, q in ((80, 80), (200, 200), (1000, 1000), (120, 5)):
+        with pytest.raises(dg.TooLarge):
+            dg.failure_share(n, q)
 
 
 def test_count_N_guard_and_table_agreement():

@@ -7,6 +7,10 @@ from kummerlog import extfield, ff, oracle
 from kummerlog.poly import Poly
 
 
+def _irreducible_binomial(base, n, a):
+    return kl.is_irreducible(Poly(base, [base.neg(a)] + [base.zero] * (n - 1) + [base.one]))
+
+
 def test_kummer_worked_context(kummer54):
     ctx = kummer54
     assert ctx.h == 2
@@ -18,6 +22,30 @@ def test_kummer_worked_context(kummer54):
 def test_kummer_reducible(f5):
     with pytest.raises(extfield.ReducibleBinomial):
         kl.build_kummer(f5, 4, 1, 1)  # x^4 - 1 has root 1
+
+
+def test_kummer_order_criterion_matches_rabin():
+    # x^n - a (n | q - 1) is irreducible iff h = a^((q-1)/n) has order n;
+    # the context decides by that order, Rabin's test is the oracle
+    fields = [kl.build_field(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+    fields += [kl.build_field(p, d, rng_seed=1)
+               for p, d in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3))]
+    seen = set()
+    for base in fields:
+        q = base.q
+        for n in range(2, q):
+            if (q - 1) % n:
+                continue
+            for a in range(1, q):
+                expected = _irreducible_binomial(base, n, a)
+                try:
+                    kl.build_kummer(base, n, a, 1)
+                    built = True
+                except extfield.ReducibleBinomial:
+                    built = False
+                assert built == expected, (q, n, a)
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_kummer_f7_cube_check(f7):
@@ -41,6 +69,7 @@ def test_kummer_zero_offset(f5):
 def test_as_contexts():
     ctx = kl.build_artin_schreier(5, 1, 0)
     assert ctx.conj_offsets == (0, 1, 2, 3, 4)
+    assert ctx.h == 1 and ctx.conj_table == (1,) * 5
     ctx7 = kl.build_artin_schreier(7, 3, 2)
     assert ctx7.conj_offsets == (2, 5, 1, 4, 0, 3, 6)
     with pytest.raises(extfield.ZeroConstant):
@@ -63,6 +92,24 @@ def test_ext_arith_examples(kummer54):
     assert alpha.inv() * alpha == ctx.one_element
     with pytest.raises(ff.ZeroInverse):
         ctx.zero_element.inv()
+
+
+def test_reduce_matches_poly_mod(f31, f8, as5, as7):
+    # one top-down pass of x^N = r(x) against long division by the modulus,
+    # for products and for element() on inputs of degree up to 3N
+    rng = random.Random(12)
+    f25 = kl.build_field(5, 2, rng_seed=1)
+    a25 = next(a for a in range(2, 25) if _irreducible_binomial(f25, 8, a))
+    contexts = [kl.build_kummer(f31, 15, 3, 1), kl.build_kummer(f8, 7, 2, 1),
+                kl.build_kummer(f25, 8, a25, 1), as5, as7]
+    for ctx in contexts:
+        base, n, m = ctx.base, ctx.degree, ctx.modulus
+        for _ in range(40):
+            x, y = ctx.random_element(rng), ctx.random_element(rng)
+            assert (x * y).poly == (x.poly * y.poly) % m
+            f = Poly(base, [base.random_element(rng) for _ in range(rng.randint(0, 3 * n + 1))])
+            assert ctx.element(f).poly == f % m
+            assert ctx.element(list(f.coeffs)).poly == f % m
 
 
 def test_ext_context_mismatch(kummer54, as5):

@@ -97,6 +97,14 @@ def test_solve_bounded_lc_mismatch(kummer54):
         kl.solve_bounded(kl.DlpInstance(kummer54, target))
 
 
+def test_read_off_failures_are_one_type(kummer54):
+    # NotSplit and RootNotInTable name the two reasons; callers catch the base
+    assert issubclass(solver.NotSplit, solver.ReadOffFailed)
+    assert issubclass(solver.RootNotInTable, solver.ReadOffFailed)
+    with pytest.raises(solver.ReadOffFailed):
+        kl.solve_bounded(kl.DlpInstance(kummer54, kummer54.element([3, 2])))
+
+
 def test_solve_bounded_roundtrip_all_contexts(f5, f7, f31):
     cases = [kl.build_kummer(f5, 4, 2, 1), kl.build_kummer(f7, 6, 3, 1),
              kl.build_kummer(f7, 3, 2, 1), kl.build_kummer(f31, 15, 3, 1),
