@@ -15,7 +15,7 @@ import random
 import time
 
 from . import oracle
-from .digits import ExponentDigits, agreement_bound, relaxed_sum_bound, sample_bounded_sum
+from .digits import ExponentDigits, relaxed_sum_bound, sample_bounded_sum, sample_decodable
 from .extfield import build_artin_schreier, build_kummer, encode_digits, ext_pow
 from .ff import build_field
 from .solver import DlpInstance, NoCandidate, ReadOffFailed, solve_bounded, solve_listdecode
@@ -40,15 +40,6 @@ def _build(kind, p, d, n, a, b):
     if kind == "kummer":
         return build_kummer(field, n, a, b)
     return build_artin_schreier(p, a, b)
-
-
-def _sample_listdecode_exponent(n, q, rng):
-    bound = relaxed_sum_bound(n)
-    need = agreement_bound(n)
-    while True:
-        e = sample_bounded_sum(n, q, bound, rng)
-        if e.nonzero_count() >= need:
-            return e
 
 
 def _sample_binary_pattern(n, w, rng):
@@ -95,7 +86,7 @@ def run_bench(suite: str, trials: int, seed: int) -> list[tuple]:
                     pos = _sample_binary_pattern(n, w_mim, rng)
                     e = ExponentDigits(q, tuple(1 if i in pos else 0 for i in range(n)))
                 elif method == "solve_listdecode":
-                    e = _sample_listdecode_exponent(n, q, rng)
+                    e = sample_decodable(n, q, rng)
                 else:
                     e = sample_bounded_sum(n, q, direct_bound, rng)
                 target = encode_digits(ctx, e)

@@ -121,9 +121,16 @@ def _build_gen_context(args):
     field = build_field(args.p, args.d, rng_seed=args.seed)
     a = _parse_element(field, args.a)
     b = _parse_element(field, args.b)
-    if args.kind == "kummer":
+    if args.kind != "kummer":
+        return ASContext(field, a, b)
+    try:
         return build_kummer(field, args.n, a, b)
-    return ASContext(field, a, b)
+    except extfield.ReducibleBinomial as exc:
+        if args.d == 1:
+            raise
+        # the seed picked F_{p^d}'s modulus, which fixes the element --a names
+        raise extfield.ReducibleBinomial(f"{exc}, whose modulus --seed {args.seed} "
+                                         "picked") from exc
 
 
 def cmd_gen(args) -> int:
@@ -275,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--a", required=True,
                         help="binomial constant (int index, or comma coefficient list)")
         sp.add_argument("--b", required=True, help="base offset in g = alpha + b")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=0,
+                        help="rng seed; for d > 1 it also picks the modulus of "
+                             "F_{p^d}, so --a and --b name other elements at other seeds")
 
     g = sub.add_parser("gen", help="generate an instance and its secret exponent")
     add_context_flags(g)

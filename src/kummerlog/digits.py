@@ -1,4 +1,5 @@
-"""Base-q digit vectors of exponents, bounded-sum counting and sampling.
+"""Base-q digit vectors of exponents, bounded-sum counting and sampling, and
+the list decoder's reach (`decodable`), defined here once.
 
 The count N(w, n, q) of length-n digit vectors with digit sum w (digits in
 [0, q-1]) is the coefficient of x^w in (1 + x + ... + x^{q-1})^n; it is
@@ -219,15 +220,45 @@ def tail_ratio(n: int, q: int) -> Fraction:
     return Fraction(heavy, sum(state.values()))
 
 
+def _reaches(n: int, nonzero: int) -> bool:
+    """The decoder's agreement rule: the planted curve passes one point per
+    nonzero digit, and the decoder finds every curve through at least
+    ceil(0.5657 n) of the n points."""
+    return nonzero >= agreement_bound(n)
+
+
+def decodable(e: ExponentDigits) -> bool:
+    """Whether `solver.solve_listdecode` reaches e, for digit sum <= floor(1.32 n).
+
+    The direct read-off covers digit sums up to n, and the decoder every e
+    with at least ceil(0.5657 n) nonzero digits.
+    """
+    n = len(e)
+    return e.digit_sum() <= n or _reaches(n, e.nonzero_count())
+
+
+def sample_decodable(n: int, q: int, rng: random.Random,
+                     table: DigitCountTable | None = None) -> ExponentDigits:
+    """Uniform sample from the vectors with digit sum <= floor(1.32 n) that
+    have enough nonzero digits for the decoder, by rejection from
+    `sample_bounded_sum`."""
+    bound = relaxed_sum_bound(n)
+    if table is None:
+        table = count_table(n, q, bound)
+    while True:
+        e = sample_bounded_sum(n, q, bound, rng, table)
+        if _reaches(n, e.nonzero_count()):
+            return e
+
+
 def failure_share(n: int, q: int) -> Fraction:
     """Exact share of bounded-sum digit vectors the list decoder cannot reach.
 
     Over all length-n vectors with digit sum <= floor(1.32 n), the fraction
-    with digit sum above n and fewer than ceil(0.5657 n) nonzero digits: the
-    set that `solver.solve_listdecode` leaves out.  Same exact DP as
-    `tail_ratio`; at digit sum 1.32 n this set grows at rate 4.8838...
+    that `decodable` rejects: digit sum above n and too few nonzero digits.
+    Same exact DP as `tail_ratio`; at digit sum 1.32 n this set grows at
+    rate 4.8838...
     """
     state = _sum_zero_counts(n, q)
-    need = agreement_bound(n)
-    bad = sum(cnt for (w, z), cnt in state.items() if w > n and n - z < need)
+    bad = sum(cnt for (w, z), cnt in state.items() if w > n and not _reaches(n, n - z))
     return Fraction(bad, sum(state.values()))

@@ -23,7 +23,6 @@ prime and extension base fields alike.
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -115,15 +114,6 @@ class BivariatePoly:
     def zero(cls, field, k):
         return cls(field, k, {})
 
-    @classmethod
-    def y_minus(cls, field, k, t: Poly) -> "BivariatePoly":
-        """The factor y - t(x)."""
-        d = {(0, 1): field.one}
-        for i, c in enumerate(t.coeffs):
-            if c != field.zero:
-                d[(i, 0)] = field.neg(c)
-        return cls(field, k, d)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -135,61 +125,9 @@ class BivariatePoly:
     def y_degree(self) -> int:
         return max((j for _, j in self.coeffs), default=-1)
 
-    def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        out: dict = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = add(out.get(key, zero), mul(c1, c2))
-        return BivariatePoly(f, self.k, out)
-
-    def eval(self, a, b):
-        f = self.field
-        r = f.zero
-        for (i, j), c in self.coeffs.items():
-            r = f.add(r, f.mul(c, f.mul(_pow(f, a, i), _pow(f, b, j))))
-        return r
-
-    def hasse_eval(self, a, b, r: int, s: int):
-        """Hasse derivative D^(r,s) Q evaluated at (a, b)."""
-        f = self.field
-        acc = f.zero
-        for (i, j), c in self.coeffs.items():
-            if i < r or j < s:
-                continue
-            cb = math.comb(i, r) * math.comb(j, s)
-            term = f.mul(c, f.embed_int(cb))
-            term = f.mul(term, _pow(f, a, i - r))
-            term = f.mul(term, _pow(f, b, j - s))
-            acc = f.add(acc, term)
-        return acc
-
-    def vanishes_to_order(self, a, b, m: int) -> bool:
-        return all(self.hasse_eval(a, b, r, s) == self.field.zero
-                   for r in range(m) for s in range(m - r))
-
-    def eval_y(self, t: Poly) -> Poly:
-        """The univariate Q(x, t(x))."""
-        f = self.field
-        tp = [Poly.one(f)]
-        for _ in range(self.y_degree()):
-            tp.append(tp[-1] * t)
-        acc = Poly.zero(f)
-        for (i, j), c in self.coeffs.items():
-            acc = acc + (tp[j] * Poly.monomial(f, i, c))
-        return acc
-
     def __repr__(self):
         terms = sorted(self.coeffs)
         return f"BivariatePoly(k={self.k}, {len(terms)} terms, wdeg={self.weighted_degree()})"
-
-
-def _pow(field, x, e: int):
-    if e == 0:
-        return field.one
-    return field.pow_(x, e)
 
 
 # -- interpolation ------------------------------------------------------------------

@@ -67,12 +67,12 @@ class DlpInstance:
 class SolveOutcome:
     """Recovered digits plus the strategy that produced them; always verified."""
 
-    __slots__ = ("digits", "method", "verified")
+    __slots__ = ("digits", "method")
+    verified = True  # every path builds an outcome through `_verified`
 
-    def __init__(self, digits: ExponentDigits, method: str, verified: bool = True):
+    def __init__(self, digits: ExponentDigits, method: str):
         self.digits = digits
         self.method = method
-        self.verified = verified
 
     def exponent(self) -> int:
         return self.digits.to_int()
@@ -189,9 +189,10 @@ def solve_bounded(inst: DlpInstance, rng: random.Random | None = None) -> SolveO
 def solve_listdecode(inst: DlpInstance, rng: random.Random | None = None) -> SolveOutcome:
     """Recover e with digit sum up to floor(1.32 n) via list decoding.
 
-    Succeeds whenever at least ceil(0.5657 n) digits are nonzero (then the
-    candidate curve has enough agreement) and also on every bounded-sum
-    input, since t = 0 and the boundary constant are tried first.
+    Succeeds on every e that `digits.decodable` accepts: with at least
+    ceil(0.5657 n) nonzero digits the candidate curve has enough agreement,
+    and every bounded-sum input is read off by t = 0 or the boundary
+    constant, which are tried first.
     """
     rng = rng if rng is not None else random.Random(0x115D)
     try:

@@ -17,10 +17,11 @@ import time
 import pytest
 
 import kummerlog as kl
-from kummerlog.digits import (agreement_bound, curve_degree_bound, failure_share,
-                              relaxed_sum_bound)
+from kummerlog.digits import (agreement_bound, curve_degree_bound, decodable, failure_share,
+                              relaxed_sum_bound, sample_decodable)
 from kummerlog.listdecode import agreement
 from kummerlog.poly import Poly
+from kummerlog.selftest import _max_failures
 from kummerlog.solver import NoCandidate
 
 KUMMER_CASES = [(5, 1, 4, 2), (7, 1, 6, 3), (7, 1, 3, 2),
@@ -148,26 +149,12 @@ def test_acceptance_06a_pipeline_planted():
     rng = random.Random(1006)
     t0 = time.perf_counter()
     for _ in range(100):
-        while True:
-            e = kl.sample_bounded_sum(n, q, bound, rng)
-            if e.nonzero_count() >= need:
-                break
+        e = sample_decodable(n, q, rng)
         out = kl.solve_listdecode(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)), rng)
         assert tuple(out.digits) == tuple(e), f"planted {tuple(e)} not recovered"
     elapsed = time.perf_counter() - t0
     _shared["planted_time"] = elapsed
     print(f"\nACCEPTANCE 6a: PASS (100/100 planted exponents, k=4 A=9 m=3, {elapsed:.2f}s)")
-
-
-def _max_failures(draws, share):
-    """Largest c with P(Binomial(draws, share) > c) <= 1e-6, in exact integers."""
-    a, b = share.numerator, share.denominator
-    c, tail = draws, 0  # tail = b^draws * P(X > c)
-    while True:
-        at_least = tail + math.comb(draws, c) * a ** c * (b - a) ** (draws - c)
-        if at_least * 10 ** 6 > b ** draws:
-            return c
-        c, tail = c - 1, at_least
 
 
 def test_acceptance_06b_pipeline_failure_rate():
@@ -185,7 +172,7 @@ def test_acceptance_06b_pipeline_failure_rate():
             assert tuple(out.digits) == tuple(e)
         except NoCandidate:
             fails += 1
-            if not (e.nonzero_count() < need and e.digit_sum() > n):
+            if decodable(e):
                 confinement_violations.append(tuple(e))
     elapsed = time.perf_counter() - t0
     total = elapsed + _shared.get("planted_time", 0.0)

@@ -45,6 +45,19 @@ def test_gen_reducible_binomial_exit2(tmp_path, capsys):
     assert "ReducibleBinomial" in capsys.readouterr().err
 
 
+def test_gen_reducible_binomial_names_the_seed(tmp_path, capsys):
+    # over F_25 the seed picks the base modulus, so --a 6 names another element
+    # at each seed; x^8 - 6 is reducible only over the field of seed 2
+    flags = ["gen", "--kind", "kummer", "--p", "5", "--d", "2", "--n", "8",
+             "--a", "6", "--b", "1", "--out", str(tmp_path / "x.json")]
+    assert main(flags + ["--seed", "1"]) == 0
+    assert main(flags + ["--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(flags + ["--seed", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "ReducibleBinomial" in err and "--seed 2" in err
+
+
 def test_gen_min_nonzero(tmp_path):
     inst = tmp_path / "i.json"
     sec = tmp_path / "s.json"

@@ -171,11 +171,17 @@ def test_count_N_guard_and_table_agreement():
         assert [kl.count_N(w, n, q) for w in range(n * (q - 1) + 1)] == table.rows[n]
 
 
-def test_proof_constants_b_side_and_max_summand():
-    # the B-side bound and its maximal summand; exact big-integer comparisons
-    for n in (50, 100, 200):
-        vmin = n - dg.agreement_bound(n) + 1  # zeros, so fewer than ceil(0.5657 n) nonzero digits
-        W = dg.relaxed_sum_bound(n)
-        summands = [math.comb(n, v) * binom(W, n - v - 1) for v in range(vmin, n + 1)]
-        assert summands[0] == max(summands)
-        assert sum(summands) * 10 ** (4 * n) < 48838 ** n * n
+
+def test_sample_decodable_matches_rejection_loop():
+    # the same draws as rejecting sample_bounded_sum until enough digits are nonzero
+    for n, q in ((4, 5), (7, 7), (15, 31)):
+        rng, ref = random.Random(5), random.Random(5)
+        s_max, need = dg.relaxed_sum_bound(n), dg.agreement_bound(n)
+        for _ in range(20):
+            e = dg.sample_decodable(n, q, rng)
+            while True:
+                want = kl.sample_bounded_sum(n, q, s_max, ref)
+                if sum(1 for d in want if d) >= need:
+                    break
+            assert e == want
+        assert rng.random() == ref.random()

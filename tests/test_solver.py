@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import kummerlog as kl
 from kummerlog import solver
-from kummerlog.digits import agreement_bound, curve_degree_bound, relaxed_sum_bound
+from kummerlog.digits import (agreement_bound, curve_degree_bound, decodable, failure_share,
+                              relaxed_sum_bound, sample_decodable)
 from kummerlog.extfield import ContextMismatch
 
 
@@ -144,16 +146,19 @@ def _all_vectors(n, q):
     return list(itertools.product(range(q), repeat=n))
 
 
+def _decoded_only(n, q, rng):
+    """A `sample_decodable` draw with digit sum above n: only the decoder reaches it."""
+    e = sample_decodable(n, q, rng)
+    while e.digit_sum() <= n:
+        e = sample_decodable(n, q, rng)
+    return e
+
+
 def test_solve_listdecode_planted(kummer3115):
     ctx = kummer3115
     rng = random.Random(24)
-    n, q = 15, 31
-    bound, need = relaxed_sum_bound(n), agreement_bound(n)
     for _ in range(15):
-        while True:
-            e = kl.sample_bounded_sum(n, q, bound, rng)
-            if e.nonzero_count() >= need:
-                break
+        e = sample_decodable(15, 31, rng)
         out = kl.solve_listdecode(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)), rng)
         assert tuple(out.digits) == tuple(e)
         assert out.method == "list_decode"
@@ -163,15 +168,11 @@ def test_solve_listdecode_worst_cliff():
     # (q, n) = (191, 19) has the largest interpolation system below n = 30:
     # m = 17 and 3008 monomial columns
     n, q = 19, 191
-    need = agreement_bound(n)
-    params = kl.select_params(n, max(1, curve_degree_bound(n)), need)
+    params = kl.select_params(n, max(1, curve_degree_bound(n)), agreement_bound(n))
     assert (params.multiplicity, len(params.monomials())) == (17, 3008)
     ctx = kl.build_kummer(kl.build_field(q), n, 2, 1)
     rng = random.Random(25)
-    while True:
-        e = kl.sample_bounded_sum(n, q, relaxed_sum_bound(n), rng)
-        if e.digit_sum() > n and e.nonzero_count() >= need:
-            break
+    e = _decoded_only(n, q, rng)
     out = kl.solve_listdecode(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)), rng)
     assert tuple(out.digits) == tuple(e)
     assert out.method == "list_decode"
@@ -226,16 +227,29 @@ def test_solve_listdecode_artin_schreier_relaxed(as7):
     ctx = as7
     rng = random.Random(27)
     p = ctx.p
-    bound, need = relaxed_sum_bound(p), agreement_bound(p)
-    hits = 0
-    for _ in range(40):
-        e = kl.sample_bounded_sum(p, p, bound, rng)
-        if e.nonzero_count() < need:
-            continue
-        hits += 1
+    relaxed = 0
+    for _ in range(30):
+        e = sample_decodable(p, p, rng)
+        relaxed += e.digit_sum() > p
         out = kl.solve_listdecode(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)), rng)
         assert tuple(out.digits) == tuple(e)
-    assert hits > 5
+    assert relaxed > 5
+
+
+def test_every_decodable_vector_is_solved(kummer54, as5, f7):
+    # exhaustive over the relaxed range: whatever `decodable` accepts, the
+    # relaxed solver returns verified, and the share it rejects is exact
+    for ctx in (kummer54, as5, kl.build_kummer(f7, 6, 3, 1)):
+        n, q = ctx.degree, ctx.base.q
+        vecs = [kl.ExponentDigits(q, v) for v in _all_vectors(n, q)
+                if sum(v) <= relaxed_sum_bound(n)]
+        reached = [e for e in vecs if decodable(e)]
+        rng = random.Random(34)
+        for e in reached:
+            inst = kl.DlpInstance(ctx, kl.encode_digits(ctx, e))
+            out = kl.solve_listdecode(inst, rng)
+            assert kl.encode_digits(ctx, out.digits) == inst.target, tuple(e)
+        assert Fraction(len(vecs) - len(reached), len(vecs)) == failure_share(n, q)
 
 
 def test_solve_auto_methods(kummer54, kummer3115):
@@ -244,10 +258,7 @@ def test_solve_auto_methods(kummer54, kummer3115):
     assert kl.solve_auto(inst, rng=rng).method == "direct"
 
     ctx = kummer3115
-    while True:
-        e = kl.sample_bounded_sum(15, 31, 19, rng)
-        if e.nonzero_count() >= 9 and e.digit_sum() > 15:
-            break
+    e = _decoded_only(15, 31, rng)
     out = kl.solve_auto(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)), rng=rng)
     assert out.method == "list_decode"
     assert tuple(out.digits) == tuple(e)
@@ -308,13 +319,10 @@ def _factor_calls(monkeypatch, solve, inst):
 
 def test_solve_auto_reads_each_candidate_off_once(monkeypatch, kummer3115, kummer54):
     rng = random.Random(33)
-    while True:
-        e = kl.sample_bounded_sum(15, 31, 19, rng)
-        if e.nonzero_count() >= agreement_bound(15) and e.digit_sum() > 15:
-            break
-    decodable = kl.DlpInstance(kummer3115, kl.encode_digits(kummer3115, e))
-    _, undecodable = _instance(kummer54, (4, 4, 4, 3))
-    for inst in (decodable, undecodable):
+    e = _decoded_only(15, 31, rng)
+    reached = kl.DlpInstance(kummer3115, kl.encode_digits(kummer3115, e))
+    _, unreached = _instance(kummer54, (4, 4, 4, 3))
+    for inst in (reached, unreached):
         # solve_auto reads off what solve_listdecode does; BSGS adds no read-off
         assert (_factor_calls(monkeypatch, kl.solve_auto, inst)
                 == _factor_calls(monkeypatch, kl.solve_listdecode, inst))
