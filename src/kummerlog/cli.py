@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import extfield, ff, oracle, solver
-from .digits import count_N, sample_bounded_sum, tail_ratio
+from .digits import count_N, count_table, nonzero_share, sample_bounded_sum, tail_ratio
 from .extfield import ASContext, build_kummer, encode_digits
 from .ff import build_field
 
@@ -29,6 +29,9 @@ EXIT_UNSOLVED = 5
 _PARAM_ERRORS = (ValueError, KeyError)
 
 _UNSOLVED_ERRORS = (solver.ReadOffFailed, solver.NoCandidate, solver.Unsolvable)
+
+# expected draws `gen --min-nonzero` may resample; about 0.5 s at (31, 15)
+MAX_GEN_DRAWS = 10**4
 
 
 def _fail(code: int, exc: BaseException) -> int:
@@ -143,9 +146,18 @@ def cmd_gen(args) -> int:
         if args.min_nonzero > max(0, min(n, sum_bound)):
             raise ValueError(f"--min-nonzero {args.min_nonzero} exceeds "
                              f"min(n, sum bound) = {min(n, sum_bound)}")
+        if args.min_nonzero > 0:
+            share = nonzero_share(n, q, sum_bound, args.min_nonzero)
+            if share * MAX_GEN_DRAWS < 1:
+                raise ValueError(f"--min-nonzero {args.min_nonzero}: only {float(share):.3g} "
+                                 f"of the digit vectors with sum <= {sum_bound} qualify, "
+                                 f"so resampling would take about {float(1 / share):.3g} "
+                                 f"draws (limit {MAX_GEN_DRAWS})")
+        # the sampler refuses a negative bound before it reads the table
+        table = count_table(n, q, max(0, min(sum_bound, n * (q - 1))))
         rng = random.Random(args.seed)
         while True:
-            e = sample_bounded_sum(n, q, sum_bound, rng)
+            e = sample_bounded_sum(n, q, sum_bound, rng, table)
             if e.nonzero_count() >= args.min_nonzero:
                 break
         target = encode_digits(ctx, e)
@@ -233,15 +245,11 @@ def cmd_order(args) -> int:
     """Empirical order probe: exact ord(g) next to the group order q^n - 1."""
     try:
         ctx = _build_gen_context(args)
-        group_order = ctx.base.q ** ctx.degree - 1
-        if group_order >= 1 << 80:
-            raise ValueError("group order exceeds the factoring guard (2^80)")
-        fac = oracle.factorize(group_order)
-        order = oracle.element_order(ctx.generator, group_order, fac)
-    except _PARAM_ERRORS as exc:
+        order, _ = ctx.generator_order
+    except (*_PARAM_ERRORS, oracle.BudgetExceeded) as exc:
         return _fail(EXIT_PARAMS, exc)
     n = ctx.degree
-    print(f"group_order: {group_order}")
+    print(f"group_order: {ctx.base.q ** n - 1}")
     print(f"order: {order}")
     print(f"exceeds_2^{n}: {'yes' if order > 2 ** n else 'no'}")
     return EXIT_OK

@@ -186,11 +186,10 @@ def curve_degree_bound(n: int) -> int:
     return 8 * n // 25
 
 
-def _sum_zero_counts(n: int, q: int) -> dict[tuple[int, int], int]:
-    """Bounded-sum vectors by (digit sum, zero count), for sums <= floor(1.32 n)."""
+def _sum_zero_counts(n: int, q: int, s_max: int) -> dict[tuple[int, int], int]:
+    """Bounded-sum vectors by (digit sum, zero count), for sums <= s_max."""
     if n < 1 or q < 2:
         raise ValueError("need n >= 1, q >= 2")
-    s_max = relaxed_sum_bound(n)
     # steps x sums x zero counts x digits tried per state
     size = n * (s_max + 1) * (n + 1) * min(q, s_max + 1)
     if size > TAIL_DP_GUARD:
@@ -214,10 +213,18 @@ def tail_ratio(n: int, q: int) -> Fraction:
     (sum, zero-count) dynamic program.  This is not the list decoder's
     failure share; see `failure_share`.
     """
-    state = _sum_zero_counts(n, q)
+    state = _sum_zero_counts(n, q, relaxed_sum_bound(n))
     z_min = agreement_bound(n)
     heavy = sum(cnt for (w, z), cnt in state.items() if z >= z_min)
     return Fraction(heavy, sum(state.values()))
+
+
+def nonzero_share(n: int, q: int, s_max: int, min_nonzero: int) -> Fraction:
+    """Exact share of the length-n vectors with digit sum <= s_max that have
+    at least min_nonzero nonzero digits, by the same (sum, zero-count) DP."""
+    state = _sum_zero_counts(n, q, min(s_max, n * (q - 1)))
+    hits = sum(cnt for (w, z), cnt in state.items() if n - z >= min_nonzero)
+    return Fraction(hits, sum(state.values()))
 
 
 def _reaches(n: int, nonzero: int) -> bool:
@@ -259,6 +266,6 @@ def failure_share(n: int, q: int) -> Fraction:
     Same exact DP as `tail_ratio`; at digit sum 1.32 n this set grows at
     rate 4.8838...
     """
-    state = _sum_zero_counts(n, q)
+    state = _sum_zero_counts(n, q, relaxed_sum_bound(n))
     bad = sum(cnt for (w, z), cnt in state.items() if w > n and not _reaches(n, n - z))
     return Fraction(bad, sum(state.values()))

@@ -13,6 +13,8 @@ discrete-log machinery is written a single time against it:
     expected_lc(digits)    leading coefficient of the conjugate product
     point_xs / denom       the interpolation points' x-coordinates and the
                            constant value of the modulus on them
+    generator_order        ord(g) and its prime factors, for the generic
+                           fallback; q^n - 1 is factored on first use only
 
 Contexts are immutable once constructed and safe to share across threads;
 all operations are pure.
@@ -20,9 +22,10 @@ all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import random
 
-from . import ff, poly as _poly
+from . import ff, oracle, poly as _poly
 from .digits import ExponentDigits
 from .poly import Poly
 
@@ -165,6 +168,11 @@ class _ContextBase:
         self.one_element = ExtElement(self, Poly.one(base))
         self.alpha = ExtElement(self, Poly.x(base))
         self.generator = self.frobenius_element(0)
+
+    @functools.cached_property
+    def generator_order(self) -> tuple[int, tuple[int, ...]]:
+        """ord(g) and its sorted prime factors, from factoring q^n - 1 on first use."""
+        return oracle.factored_order(self.generator, self.base.q ** self.degree - 1)
 
     def _reduce(self, p: Poly) -> Poly:
         """p mod the modulus, in one top-down pass of x^N = r(x) for any degree."""

@@ -6,9 +6,10 @@ factors; the digits are read off those factors.  t = 0 is the direct
 read-off (digit sums up to the extension degree), the Kummer boundary
 constant patches the sum-equals-degree case, and the relaxed solver adds the
 Artin-Schreier t = 1 and the Guruswami-Sudan decoded curves, decoding only
-after the earlier candidates fail.  Each candidate is read off once, and
-everything returned, BSGS fallback included, is verified by one
-re-exponentiation check.
+after the earlier candidates fail.  Each candidate is read off once.  The
+generic fallback is Pohlig-Hellman over ord(g), factored once per context on
+its first use, with BSGS in each prime-order subgroup.  Everything
+returned, fallback included, is verified by one re-exponentiation check.
 """
 
 from __future__ import annotations
@@ -204,24 +205,29 @@ def solve_listdecode(inst: DlpInstance, rng: random.Random | None = None) -> Sol
 
 
 def _solve_fallback(inst: DlpInstance, budget: oracle.GroupBudget) -> SolveOutcome:
+    """Pohlig-Hellman over ord(g), which the context factors on its first fallback."""
     ctx = inst.ctx
-    n, q = ctx.degree, ctx.base.q
     try:
-        e = oracle.bsgs_dlp(ctx.generator, inst.target, q ** n - 1, budget)
+        order, factorization = ctx.generator_order
+        e = oracle.bsgs_dlp(ctx.generator, inst.target, order, budget, factorization)
     except oracle.BudgetExceeded as exc:
         raise Unsolvable(f"generic fallback exceeded budget: {exc}") from exc
     except oracle.NotInSubgroup as exc:
         raise Unsolvable("target is not a power of g") from exc
-    return _verified(inst, ExponentDigits.from_int(e, q, n), "fallback")
+    return _verified(inst, ExponentDigits.from_int(e, ctx.base.q, ctx.degree), "fallback")
 
 
 def solve_auto(inst: DlpInstance, w_hint: int | None = None,
                rng: random.Random | None = None,
                budget: oracle.GroupBudget | None = None) -> SolveOutcome:
     """Strategy dispatch: the candidate pipeline (direct read-off, boundary,
-    decoded curves), then generic BSGS.
+    decoded curves), then the generic fallback, Pohlig-Hellman over ord(g).
 
-    w_hint (a claimed digit-sum bound) only decides whether BSGS runs first,
+    The fallback returns the least exponent, e mod ord(g).  It needs q^n - 1
+    below `oracle.FACTOR_GUARD` and ceil(sqrt(r)) within
+    `budget.max_baby_steps` for the largest prime r of ord(g); otherwise, or
+    when the target is not a power of g, it raises Unsolvable.  w_hint (a
+    claimed digit-sum bound) only decides whether the fallback runs first,
     which it does above floor(1.32 n); both still run before giving up.
     """
     rng = rng if rng is not None else random.Random(0xA070)

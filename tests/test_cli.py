@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -67,6 +68,30 @@ def test_gen_min_nonzero(tmp_path):
     secret = json.loads(sec.read_text())
     assert sum(1 for d in secret["digits"] if d) >= 9
     assert secret["sum"] <= 19
+
+
+def test_gen_files_pinned(tmp_path):
+    # a dozen draws from one count table give the same files as one table per draw
+    inst, sec = tmp_path / "i.json", tmp_path / "s.json"
+    assert main(["gen", "--kind", "kummer", "--p", "31", "--n", "15", "--a", "3",
+                 "--b", "1", "--sum-bound", "19", "--min-nonzero", "12", "--seed", "1",
+                 "--out", str(inst), "--secret-out", str(sec)]) == 0
+    assert hashlib.sha256(inst.read_bytes()).hexdigest() == (
+        "c248e565f8780b9cb8145e11830cf052980d7ef88178abfa3a268effa9cecfc2")
+    assert hashlib.sha256(sec.read_bytes()).hexdigest() == (
+        "28a1d6d835cdf29a7e2c881f4286e73c560baf7da9b16089f9cc36fa81eeb6b8")
+
+
+def test_gen_refuses_a_rare_min_nonzero_fast(tmp_path, capsys):
+    # about 2 in 10^6 draws have 15 nonzero digits with sum <= 19
+    t0 = time.perf_counter()
+    assert main(["gen", "--kind", "kummer", "--p", "31", "--n", "15", "--a", "3",
+                 "--b", "1", "--sum-bound", "19", "--min-nonzero", "15", "--seed", "1",
+                 "--out", str(tmp_path / "i.json")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: --min-nonzero 15: only 2.09e-06 of")
+    assert not (tmp_path / "i.json").exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -226,6 +251,14 @@ def test_order_refuses_a_large_prime_fast(capsys):
                  "--b", "1"]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "TooLarge" in capsys.readouterr().err
+
+
+def test_order_refuses_a_group_order_beyond_the_factoring_guard(capsys):
+    # 31^30 - 1 is about 2^149; it is refused before Pollard-Brent starts
+    t0 = time.perf_counter()
+    assert main(["order", "--p", "31", "--n", "30", "--a", "3", "--b", "1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "factoring guard (2^80)" in capsys.readouterr().err
 
 
 def test_count_propagates_internal_faults(monkeypatch):

@@ -140,6 +140,15 @@ def test_failure_share_enumeration_oracle():
     assert dg.failure_share(4, 5) == Fraction(hits, total) == Fraction(12, 61)
 
 
+@pytest.mark.parametrize("s_max", [0, 3, 7, 16, 40])
+def test_nonzero_share_enumeration_oracle(s_max):
+    # brute force over all 625 vectors for (n, q) = (4, 5); bounds past n(q-1) cap
+    vs = [v for v in itertools.product(range(5), repeat=4) if sum(v) <= s_max]
+    for need in range(6):
+        hits = sum(1 for v in vs if sum(1 for d in v if d) >= need)
+        assert dg.nonzero_share(4, 5, s_max, need) == Fraction(hits, len(vs))
+
+
 def test_failure_share_pinned_values():
     assert dg.failure_share(6, 31) == Fraction(3, 13)
     assert dg.failure_share(15, 31) == Fraction(173622677, 371193504)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -169,3 +170,93 @@ def test_bsgs_agrees_with_solver_full_sweep(kummer54):
         x = kl.bsgs_dlp(kummer54.generator, target, 624)
         assert tuple(out.digits) == v
         assert kl.ext_pow(kummer54.generator, x) == target
+
+
+# -- Pohlig-Hellman: bsgs_dlp given the factored order ---------------------------
+
+
+def _pohlig_hellman(ctx, y, budget=None):
+    order, factorization = ctx.generator_order
+    return kl.bsgs_dlp(ctx.generator, y, order, budget, factorization)
+
+
+@pytest.mark.parametrize("p, n, a, trials", [(5, 4, 2, 30), (7, 6, 3, 20), (31, 6, 3, 2)])
+def test_pohlig_hellman_matches_plain_bsgs(p, n, a, trials):
+    ctx = kl.build_kummer(kl.build_field(p), n, a, 1)
+    group_order = p ** n - 1
+    rng = random.Random(40 + p)
+    for _ in range(trials):
+        y = kl.ext_pow(ctx.generator, rng.randrange(group_order))
+        x = kl.bsgs_dlp(ctx.generator, y, group_order)
+        assert _pohlig_hellman(ctx, y) == x
+        # a multiple of ord(g) serves as well: the group order itself
+        assert kl.bsgs_dlp(ctx.generator, y, group_order, None, kl.factorize(group_order)) == x
+
+
+@pytest.mark.parametrize("p, n, a, s_max", [(5, 4, 2, 3), (7, 6, 3, 2)])
+def test_pohlig_hellman_agrees_with_exhaustive_search(p, n, a, s_max):
+    ctx = kl.build_kummer(kl.build_field(p), n, a, 1)
+    order, _ = ctx.generator_order
+    for v in itertools.product(range(p), repeat=n):
+        if sum(v) > s_max:
+            continue
+        target = kl.encode_digits(ctx, kl.ExponentDigits(p, v))
+        x = _pohlig_hellman(ctx, target)
+        found = kl.exhaustive_dlp_bounded(ctx, target, 2 * s_max)
+        assert x < order
+        assert {e.to_int() % order for e in found} == {x}
+
+
+def test_pohlig_hellman_prime_field(f5):
+    g = FieldUnit(f5, 2)
+    assert [kl.bsgs_dlp(g, FieldUnit(f5, y), 4, None, [2, 2]) for y in (1, 2, 4, 3)] == [0, 1, 2, 3]
+    with pytest.raises(oracle.NotInSubgroup):
+        kl.bsgs_dlp(FieldUnit(f5, 4), FieldUnit(f5, 2), 4, None, [2, 2])
+
+
+def test_pohlig_hellman_not_in_subgroup(kummer54):
+    order, factorization = kummer54.generator_order
+    assert (order, factorization) == (312, (2, 2, 2, 3, 13))
+    # alpha^4 = 2 has order 4, so alpha has order 16, which does not divide 312
+    with pytest.raises(oracle.NotInSubgroup):
+        _pohlig_hellman(kummer54, kummer54.alpha)
+
+
+def test_pohlig_hellman_not_in_subgroup_over_a_multiple_of_the_order(f31):
+    # at (31, 6) ord(g) = (31^6 - 1)/9, while alpha (alpha^6 = 3) has order 180;
+    # over the group order the 3-part of g is trivial, so no subgroup search fails
+    ctx = kl.build_kummer(f31, 6, 3, 1)
+    group_order = 31 ** 6 - 1
+    assert ctx.generator_order[0] == group_order // 9
+    with pytest.raises(oracle.NotInSubgroup, match="not a power of g"):
+        kl.bsgs_dlp(ctx.generator, ctx.alpha, group_order, None, kl.factorize(group_order))
+
+
+def test_pohlig_hellman_budget_bounds_the_largest_prime(f31):
+    ctx = kl.build_kummer(f31, 6, 3, 1)
+    order, factorization = ctx.generator_order
+    assert max(factorization) == 331  # ceil(sqrt(331)) = 19 baby steps
+    y = kl.ext_pow(ctx.generator, 123456789)
+    with pytest.raises(oracle.BudgetExceeded, match="prime order 331"):
+        _pohlig_hellman(ctx, y, GroupBudget(max_baby_steps=18))
+    assert _pohlig_hellman(ctx, y, GroupBudget(max_baby_steps=19)) == 123456789 % order
+
+
+def test_pohlig_hellman_bad_factorization(kummer54):
+    g, y = kummer54.generator, kummer54.one_element
+    with pytest.raises(oracle.BadFactorization):
+        kl.bsgs_dlp(g, y, 624, None, [2, 2, 2, 2, 3, 11])   # wrong product
+    with pytest.raises(oracle.BadFactorization):
+        kl.bsgs_dlp(g, y, 624, None, [4, 4, 3, 13])         # composite entry
+    with pytest.raises(oracle.BadFactorization):
+        kl.bsgs_dlp(g, y, 13, None, [13])                   # g^13 != 1
+
+
+def test_generator_order_is_cached_and_guarded(monkeypatch):
+    ctx = kl.build_kummer(kl.build_field(5), 4, 2, 1)
+    assert ctx.generator_order == (312, (2, 2, 2, 3, 13))
+    monkeypatch.setattr(oracle, "factorize", None)  # a second factoring would fail
+    assert ctx.generator_order == (312, (2, 2, 2, 3, 13))
+    monkeypatch.setattr(oracle, "FACTOR_GUARD", 1 << 9)  # 5^4 - 1 = 624 >= 512
+    with pytest.raises(oracle.BudgetExceeded, match=r"factoring guard \(2\^9\)"):
+        oracle.factored_order(ctx.generator, 624)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import kummerlog as kl
-from kummerlog import solver
+from kummerlog import oracle, solver
 from kummerlog.digits import (agreement_bound, curve_degree_bound, decodable, failure_share,
                               relaxed_sum_bound, sample_decodable)
 from kummerlog.extfield import ContextMismatch
@@ -271,6 +271,50 @@ def test_solve_auto_fallback(kummer54):
     out = kl.solve_auto(inst, rng=random.Random(29))
     assert out.method == "fallback"
     assert kl.encode_digits(kummer54, out.digits) == inst.target
+
+
+def test_solve_auto_fallback_outside_the_subgroup(kummer54):
+    # ord(g) = 312 < 624 and alpha has order 16, so no exponent reaches it
+    with pytest.raises(solver.Unsolvable, match="not a power of g"):
+        kl.solve_auto(kl.DlpInstance(kummer54, kummer54.alpha), rng=random.Random(37))
+
+
+def test_solve_auto_fallback_budget(f31):
+    # the largest prime of ord(g) at (31, 6) is 331, which needs 19 baby steps
+    ctx = kl.build_kummer(f31, 6, 3, 1)
+    e, inst = _instance(ctx, (30, 30, 29, 30, 30, 30))
+    with pytest.raises(solver.Unsolvable, match="exceeded budget"):
+        kl.solve_auto(inst, rng=random.Random(38), budget=oracle.GroupBudget(max_baby_steps=18))
+    out = kl.solve_auto(inst, rng=random.Random(38), budget=oracle.GroupBudget(max_baby_steps=19))
+    assert out.method == "fallback"
+
+
+def test_solve_auto_fallback_factoring_guard(monkeypatch):
+    # a group order at the guard is refused before any factoring starts
+    ctx = kl.build_kummer(kl.build_field(5), 4, 2, 1)
+    _, inst = _instance(ctx, (4, 4, 4, 3))
+    monkeypatch.setattr(oracle, "FACTOR_GUARD", 1 << 9)
+    monkeypatch.setattr(oracle, "factorize", None)
+    with pytest.raises(solver.Unsolvable, match=r"factoring guard \(2\^9\)"):
+        kl.solve_auto(inst, rng=random.Random(39))
+
+
+def test_solve_auto_uniform_exponent_in_f_q_to_the_q_minus_1():
+    # the paper's F_{q^(q-1)} at q = 13: plain BSGS would need 4.8M baby steps,
+    # while the largest prime of the group order is 28393
+    q = 13
+    ctx = kl.build_kummer(kl.build_field(q), q - 1, 2, 1)
+    group_order = q ** (q - 1) - 1
+    e = random.Random(40).randrange(group_order)
+    target = kl.ext_pow(ctx.generator, e)
+    with pytest.raises(oracle.BudgetExceeded):
+        kl.bsgs_dlp(ctx.generator, target, group_order)
+    out = kl.solve_auto(kl.DlpInstance(ctx, target), w_hint=(q - 1) * (q - 1),
+                        rng=random.Random(41))
+    assert out.method == "fallback" and out.verified
+    order, _ = ctx.generator_order
+    assert out.exponent() == e % order
+    assert kl.encode_digits(ctx, out.digits) == target
 
 
 def test_solve_auto_w_hint_changes_start_only(kummer54):
