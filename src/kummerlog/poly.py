@@ -12,20 +12,33 @@ root extraction in positive characteristic), distinct-degree splitting,
 then Cantor-Zassenhaus equal degree splitting for odd q and the
 absolute-trace variant for q = 2^d.
 
-The coefficient domain is anything exposing the small field protocol of
-`ff.Field` (zero/one/add/sub/mul/neg/inv/pow_/random_element/sort_key, and
-elements() where q is small); prime fields get inlined mod-p loops in the
-hot operations.
+Each squarefree piece gets its Frobenius rows x^(q*i) mod f once
+(`_frobenius_rows`, after von zur Gathen and Shoup), and every q-th power
+of the distinct- and equal-degree steps and of `is_irreducible`'s chain is
+then one row combination instead of a power mod f.
+
+The coefficient domain of the arithmetic, `roots` and the linear part is
+anything exposing the small field protocol of `ff.Field`
+(zero/one/add/sub/mul/neg/inv/pow_/random_element/sort_key, and elements()
+where q is small): the embedding runs `roots` over `extfield._ExtFieldView`.
+`factor` and `is_irreducible` take a polynomial over an `ff.Field`, whose
+array methods (`vmul`, `vsum`) build and apply the rows.  Prime fields get
+inlined mod-p loops in the hot operations.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import ff
 
 # roots are found by walking the field while q <= EVAL_CROSSOVER*log2(q)*deg f
 EVAL_CROSSOVER = 12
+# entries of int64 products held at once by the Frobenius matrix power: one
+# block up to degree 128, 16 MB per temporary beyond it
+ROWS_BLOCK = 1 << 21
 
 
 class DivisionByZeroPoly(ZeroDivisionError):
@@ -291,21 +304,72 @@ def powmod(f: Poly, e, m: Poly) -> Poly:
     return result
 
 
+def _frobenius_rows(f: Poly) -> np.ndarray:
+    """Berlekamp's Frobenius matrix of a monic f of degree n >= 1 over an
+    `ff.Field`: the (n, n) int64 array whose row i holds the coefficients of
+    x^(q*i) mod f, low to high.
+
+    f's companion matrix C (row i: x^(i+1) mod f) is raised to the q-th
+    power by squaring; row i of C^q is x^(q+i) mod f, so row i of the result
+    is row i-1 times C^q.  Since c -> c^q fixes F_q, h^q mod f is then the
+    row combination sum_i h_i * row i (`_frobenius`), and the same rows give
+    q-th powers modulo any divisor of f after one reduction.
+    """
+    field = f.field
+    n = f.degree
+    comp = np.zeros((n, n), dtype=np.int64)
+    comp[:-1, 1:] = np.eye(n - 1, dtype=np.int64)
+    comp[-1] = [field.neg(c) for c in f.coeffs[:-1]]
+
+    def matmul(a, b):
+        # each product is reduced before the sum: a plain a @ b % p overflows
+        # int64 for p near 2^31; blocks of rows keep the (rows, n, n)
+        # broadcast product below ROWS_BLOCK entries at any degree
+        step = max(1, ROWS_BLOCK // (n * n))
+        return np.concatenate([field.vsum(field.vmul(a[i:i + step, :, None], b), axis=1)
+                               for i in range(0, n, step)])
+
+    power = None
+    e = field.q
+    while e:
+        if e & 1:
+            power = comp if power is None else matmul(power, comp)
+        e >>= 1
+        if e:
+            comp = matmul(comp, comp)
+    rows = np.zeros((n, n), dtype=np.int64)
+    rows[0, 0] = field.one
+    for i in range(1, n):
+        rows[i] = field.vsum(field.vmul(rows[i - 1, :, None], power), axis=0)
+    return rows
+
+
+def _frobenius(h: Poly, rows: np.ndarray) -> Poly:
+    """h^q mod f for h of degree < n, given f's Frobenius rows (n, n)."""
+    field = h.field
+    c = np.array(h.coeffs, dtype=np.int64)
+    return Poly(field, field.vsum(field.vmul(c[:, None], rows[:len(c)]), axis=0).tolist())
+
+
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: x^{q^n} = x mod f and gcd(x^{q^{n/r}} - x, f) = 1."""
+    """Rabin's test: x^{q^n} = x mod f and gcd(x^{q^{n/r}} - x, f) = 1.
+
+    f is over an `ff.Field`; the chain x^{q^i} mod f comes from f's
+    Frobenius rows, one row combination a step.
+    """
     n = f.degree
     if n < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
     if n == 1:
         return True
     field = f.field
-    q = field.q
     f = f.make_monic()[1]
     x = Poly.x(field)
+    rows = _frobenius_rows(f)
     frob = [x % f]
     h = frob[0]
     for _ in range(n):
-        h = powmod(h, q, f)
+        h = _frobenius(h, rows)
         frob.append(h)
     if frob[n] != x % f:
         return False
@@ -360,16 +424,17 @@ def _squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return factors
 
 
-def _ddf(f: Poly) -> list[tuple[Poly, int]]:
-    """Distinct-degree split of a monic squarefree f: [(product, factor degree)]."""
+def _ddf(f: Poly, rows: np.ndarray) -> list[tuple[Poly, int]]:
+    """Distinct-degree split of a monic squarefree f over an `ff.Field`, given
+    its Frobenius rows: [(product, factor degree)].  Each x^{q^i} is one row
+    combination, reduced modulo the part of f not yet split off."""
     field = f.field
-    q = field.q
     x = Poly.x(field)
     out = []
     h = x % f
     i = 1
     while f.degree >= 2 * i:
-        h = powmod(h, q, f)
+        h = _frobenius(h, rows) % f
         g = gcd(h - x, f)
         if g.degree > 0:
             out.append((g, i))
@@ -381,8 +446,15 @@ def _ddf(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _edf(f: Poly, r: int, rng: random.Random) -> list[Poly]:
-    """Equal-degree split: monic squarefree f, all irreducible factors of degree r."""
+def _edf(f: Poly, r: int, rng: random.Random, rows: np.ndarray | None = None) -> list[Poly]:
+    """Equal-degree split: monic squarefree f, all irreducible factors of degree r.
+
+    For odd q, u^((q^r - 1)/2) is computed as (u * u^q * ... * u^(q^(r-1)))^((q-1)/2),
+    its q-th powers taken from `rows`, the Frobenius rows of f or of any
+    multiple of f over an `ff.Field` (so the rows of a piece serve every
+    divisor the recursion splits off).  r = 1 and characteristic 2 (the
+    absolute trace) need no rows and run over any field of the protocol.
+    """
     if f.degree == r:
         return [f]
     field = f.field
@@ -405,11 +477,14 @@ def _edf(f: Poly, r: int, rng: random.Random) -> list[Poly]:
                 acc = acc + t
             g = gcd(acc, f)
         else:
-            v = powmod(u, (q ** r - 1) // 2, f)
-            g = gcd(v - one, f)
+            t = norm = u
+            for _ in range(r - 1):
+                t = _frobenius(t, rows) % f
+                norm = (norm * t) % f
+            g = gcd(powmod(norm, (q - 1) // 2, f) - one, f)
         if 0 < g.degree < f.degree:
             break
-    return _edf(g, r, rng) + _edf(f // g, r, rng)
+    return _edf(g, r, rng, rows) + _edf(f // g, r, rng, rows)
 
 
 def _divide_linear(coeffs, r, field) -> tuple[list, object]:
@@ -485,12 +560,14 @@ def _linear_part(f: Poly, rng: random.Random) -> tuple[list[tuple], Poly]:
 
 
 def factor(f: Poly, rng: random.Random | None = None) -> tuple:
-    """Full factorization: (leading coefficient, [(monic irreducible, multiplicity)]).
+    """Full factorization of f over an `ff.Field`: (leading coefficient,
+    [(monic irreducible, multiplicity)]).
 
     The linear part comes first (`_linear_part`); the squarefree,
     distinct-degree and equal-degree chain runs only on the cofactor that
-    has no root.  The factor list is sorted canonically (degree, then
-    coefficients); being unique, it does not depend on the rng state.
+    has no root, each squarefree piece with its own Frobenius rows.  The
+    factor list is sorted canonically (degree, then coefficients); being
+    unique, it does not depend on the rng state.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -500,8 +577,9 @@ def factor(f: Poly, rng: random.Random | None = None) -> tuple:
     lin, rest = _linear_part(mon, rng)
     out = [(Poly(field, (field.neg(r), field.one)), mult) for r, mult in lin]
     for sqf, mult in _squarefree_decomposition(rest):
-        for prod, deg in _ddf(sqf):
-            for irr in _edf(prod, deg, rng):
+        rows = _frobenius_rows(sqf)
+        for prod, deg in _ddf(sqf, rows):
+            for irr in _edf(prod, deg, rng, rows):
                 out.append((irr, mult))
     out.sort(key=lambda t: t[0].sort_key())
     return lc, out
@@ -509,7 +587,8 @@ def factor(f: Poly, rng: random.Random | None = None) -> tuple:
 
 def roots(f: Poly, rng: random.Random | None = None) -> list[tuple]:
     """All roots in the coefficient field with multiplicities, sorted: the
-    linear part of f (`_linear_part`), without factoring the cofactor."""
+    linear part of f (`_linear_part`), without factoring the cofactor.
+    Needs only the field protocol, so it also runs over an extension view."""
     if f.is_zero():
         raise ValueError("the zero polynomial has every element as a root")
     rng = rng if rng is not None else random.Random(0x5EED)

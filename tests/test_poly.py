@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -256,3 +257,58 @@ def test_factor_and_roots_match_sympy():
             # the results are unique, so the rng state does not show in them
             assert kl.factor(f, random.Random(1)) == kl.factor(f, random.Random(2))
             assert kl.roots(f, random.Random(1)) == kl.roots(f, random.Random(2))
+
+
+def test_frobenius_rows_match_powmod(monkeypatch, f5, f31, f9, f8):
+    # row i is x^(q*i) mod f; p = 2^31 - 1 at degree >= 4 catches an int64
+    # overflow in the products, degrees 1 and 2 are the matrix edges
+    rng = random.Random(41)
+    f49 = kl.build_field(7, 2, rng_seed=1)
+    big = kl.build_field(2**31 - 1)
+    cases = [(field, deg) for field in (f5, f31, f9, f49, f8) for deg in (1, 2, 3, 5, 8)]
+    cases += [(big, deg) for deg in (1, 2, 4, 6, 9)]
+    for field, deg in cases:
+        x = Poly.x(field)
+        for _ in range(3):
+            f = Poly(field, [field.random_element(rng) for _ in range(deg)] + [field.one])
+            rows = poly._frobenius_rows(f)
+            assert rows.shape == (deg, deg)
+            for i in range(deg):
+                assert Poly(field, rows[i].tolist()) == kl.powmod(x, field.q * i, f)
+            h = Poly(field, [field.random_element(rng) for _ in range(deg)])
+            assert poly._frobenius(h, rows) == kl.powmod(h, field.q, f)
+    # a block bound below n*n splits the matrix products into single rows
+    monkeypatch.setattr(poly, "ROWS_BLOCK", 1)
+    for field in (f31, f9, big):
+        f = Poly(field, [field.random_element(rng) for _ in range(7)] + [field.one])
+        rows = poly._frobenius_rows(f)
+        assert [Poly(field, r.tolist()) for r in rows] == [
+            kl.powmod(Poly.x(field), field.q * i, f) for i in range(7)]
+
+
+def _random_irreducible(field, deg, rng):
+    while True:
+        g = Poly(field, [field.random_element(rng) for _ in range(deg)] + [field.one])
+        if kl.is_irreducible(g):
+            return g
+
+
+def test_factor_draws_pinned(f31, f9, f8):
+    # factor's output and the rng state it leaves behind, over 200 products of
+    # irreducibles of degree 2-4 (so distinct- and equal-degree splitting both
+    # run), hashed; the digest was taken from the powmod-based chain, so a
+    # change in how the q-th powers are computed must not move a single draw
+    fields = [f31, f9, kl.build_field(7, 2, rng_seed=1), f8]
+    gen = random.Random(2024)
+    digest = hashlib.sha256()
+    for i in range(200):
+        field = fields[i % 4]
+        f = Poly.constant(field, field.random_nonzero(gen))
+        for _ in range(gen.randrange(1, 4)):
+            g = _random_irreducible(field, gen.randrange(2, 5), gen)
+            for _ in range(1 if gen.random() < 0.8 else 2):
+                f = f * g
+        rng = random.Random(i)
+        lc, fs = kl.factor(f, rng)
+        digest.update(repr((lc, [(g.coeffs, m) for g, m in fs], rng.random())).encode())
+    assert digest.hexdigest() == "25fe2ae776829d89941bb78fa651016881952f09eeea67f93e0dc3c19f7a7102"
