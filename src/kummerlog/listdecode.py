@@ -7,12 +7,21 @@ threshold A > sqrt(k n), interpolation finds a nonzero bivariate Q of
 characteristic).  Every t with deg t <= k passing at least A points then
 satisfies Q(x, t(x)) = 0 and is recovered by Roth-Ruckenstein recursion.
 
-Interpolation is Koetter's iterative algorithm on j_cap + 1 generator
-polynomials rather than elimination over the monomial columns.  Its output
-is deterministic: the unique interpolation polynomial, up to a scalar, whose
-leading monomial is least in (weighted degree, y-degree, x-degree) order,
-scaled to leading coefficient 1.  This is the kernel vector of the first
-free column when the columns are ordered that way.
+Interpolation is Koetter's iterative algorithm on at most j_cap + 1
+generator polynomials rather than elimination over the monomial columns.
+Its output is deterministic: the unique interpolation polynomial, up to a
+scalar, whose leading monomial is least in (weighted degree, y-degree,
+x-degree) order, scaled to leading coefficient 1.  This is the kernel vector
+of the first free column when the columns are ordered that way.
+
+The algorithm runs after re-encoding (Koetter, Ma and Vardy, IEEE IT 2011).
+Shifting y by the interpolant phi of the first min(k + 1, n) points sends
+their y-values to 0, where order m at x_i means that (x - x_i)^(m-j) divides
+the coefficient of y^j.  So the generators start as V^(m-j) y^j, V the
+product of those x - x_i, Koetter's loop runs on the cofactors of the powers
+of V, and only the other points impose constraints.  The shift keeps
+every polynomial's leading monomial and weighted degree, so shifting the
+least generator back gives the same Q as interpolating at all n points.
 
 Roth-Ruckenstein root finding then runs on Q's coefficients as a dense
 (j, i) array, row j holding the x-coefficients of y^j.  Both stages hold
@@ -58,19 +67,21 @@ class DecodeParams:
 
     def monomials(self) -> list[tuple[int, int]]:
         """(i, j) with weighted degree <= D, ordered ascending (wdeg, j, i)."""
-        return _monomials(self.k, self.weighted_degree_bound, self.y_degree_cap)
+        return _monomials(self.k, self.weighted_degree_bound, [0] * (self.y_degree_cap + 1))
 
     def __repr__(self):
         return (f"DecodeParams(n={self.n_points}, k={self.k}, A={self.agreement}, "
                 f"m={self.multiplicity}, D={self.weighted_degree_bound})")
 
 
-def _monomials(k: int, D: int, j_cap: int) -> list[tuple[int, int]]:
+def _monomials(k: int, D: int, offsets: list[int]) -> list[tuple[int, int]]:
+    """(i, j) for which x^(i + offsets[j]) y^j has weighted degree <= D,
+    ordered ascending by that monomial's (wdeg, j, i)."""
     out = []
-    for j in range(j_cap + 1):
-        for i in range(D - k * j + 1):
+    for j, o in enumerate(offsets):
+        for i in range(D - k * j - o + 1):
             out.append((i, j))
-    out.sort(key=lambda ij: (ij[0] + k * ij[1], ij[1], ij[0]))
+    out.sort(key=lambda ij: (ij[0] + offsets[ij[1]] + k * ij[1], ij[1], ij[0]))
     return out
 
 
@@ -161,78 +172,151 @@ class _Taylor:
 
 
 class _Layout:
-    """Coefficient vectors indexed by the monomials in ascending (wdeg, j, i)
-    order, plus one trailing pad entry that stays 0.
+    """Coefficient vectors of the cofactors P_j of Q~_j = V^e_j P_j, indexed by
+    (i, j) in the ascending (wdeg, j, i) order of the matching monomial
+    x^(i + offsets[j]) y^j of Q~ (offsets[j] = deg V^e_j), plus one trailing
+    pad entry that stays 0.
 
-    A generator is tracked by the index of its leading monomial, so the least
+    V is monic, so that order is the order of Q~'s leading monomials.  A
+    generator is tracked by the index of its leading monomial, so the least
     generator is the one with the smallest index, and its entries past that
     index are 0: a reduction by a smaller pivot touches only the pivot's
     prefix.  Multiplying by x moves entry `shift[c]` to c (the pad for i = 0)
-    and the leading index c to `up[c]` (-1 at weighted degree D).  `rows`
-    lists the entries y-row by y-row, the row of y^j from `starts[j]`, and
-    `xexp` gives each of those entries' x-exponent.
+    and the leading index c to `up[c]` (-1 at weighted degree D).  `js`
+    lists the rows j with an entry at or below D; `rows` lists their entries
+    row by row, row t (that is, `js[t]`) from `starts[t]`, and `row_of` and
+    `xexp` give each of those entries' row t and x-exponent i.
     """
 
-    def __init__(self, params: DecodeParams):
-        k, D = params.k, params.weighted_degree_bound
-        self.monos = params.monomials()
-        pos = {ij: c for c, ij in enumerate(self.monos)}
-        pad = len(self.monos)
-        self.shift = [pos.get((i - 1, j), pad) for i, j in self.monos] + [pad]
-        self.up = [pos.get((i + 1, j), -1) for i, j in self.monos]
-        self.rows, self.starts, self.xexp = [], [0], []
-        for j in range(params.y_degree_cap + 1):
-            width = D - k * j + 1
+    def __init__(self, k: int, D: int, offsets: list[int]):
+        monos = _monomials(k, D, offsets)
+        pos = {ij: c for c, ij in enumerate(monos)}
+        pad = len(monos)
+        self.shift = [pos.get((i - 1, j), pad) for i, j in monos] + [pad]
+        self.up = [pos.get((i + 1, j), -1) for i, j in monos]
+        self.js = [j for j, o in enumerate(offsets) if o + k * j <= D]
+        self.rows, self.starts, self.row_of, self.xexp = [], [], [], []
+        for t, j in enumerate(self.js):
+            width = D - k * j - offsets[j] + 1
+            self.starts.append(len(self.rows))
             self.rows.extend(pos[(i, j)] for i in range(width))
-            self.starts.append(self.starts[-1] + width)
+            self.row_of.extend([t] * width)
             self.xexp.extend(range(width))
-        self.initial_leads = [pos[(0, j)] for j in range(params.y_degree_cap + 1)]
+        self.initial_leads = [pos[(0, j)] for j in self.js]
+
+
+def _addmul(field, acc, rows, poly):
+    """acc + rows * poly for 2-D arrays acc and rows of one shape, each row a
+    polynomial in x cut to the row width, and poly one coefficient vector or
+    one per row."""
+    W = rows.shape[1]
+    out = acc.copy()
+    for t in range(min(poly.shape[-1], W)):
+        out[:, t:] = field.vaxpy(out[:, t:], poly[..., t:t + 1], rows[:, :W - t])
+    return out
+
+
+def _reencoding(field, base) -> tuple[Poly, Poly]:
+    """phi, the interpolant of degree < len(base) through `base`, and
+    V = prod (x - x_i) over it, by Newton's divided differences."""
+    add, sub, mul = field.add, field.sub, field.mul
+    xs = [x for x, _ in base]
+    c = [y for _, y in base]
+    for t in range(1, len(xs)):
+        for i in range(len(xs) - 1, t - 1, -1):
+            c[i] = mul(sub(c[i], c[i - 1]), field.inv(sub(xs[i], xs[i - t])))
+    # phi = sum c_t N_t with N_t = prod_(s < t) (x - x_s), and V = N_len(base)
+    phi, V = [field.zero] * len(xs), [field.one]
+    for x, ct in zip(xs, c):
+        phi[:len(V)] = [add(u, mul(ct, v)) for u, v in zip(phi, V)]
+        V = [sub(lo, mul(x, hi)) for lo, hi in zip([field.zero] + V, V + [field.zero])]
+    return Poly(field, phi), Poly(field, V)
 
 
 def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
     """Nonzero Q of weighted degree <= D vanishing to order m at every point.
 
-    Koetter's iterative interpolation over j_cap + 1 generators, which start
-    as y^j.  The constraints D_(r,s) Q(a, b) = 0 at each point are imposed
-    r outer, s inner, so (r-1, s) is met before (r, s).  Each constraint is
-    imposed by the generator with the least leading monomial in (weighted
-    degree, y-degree) order among those it does not yet hold for: that pivot
-    cancels the others' discrepancies and is then multiplied by (x - a).
-    The Hasse derivatives at a point are taken once per generator and then
-    follow the same row operations; for the pivot they shift, as
-    D_(r,s)((x - a) f)(a, b) = D_(r-1,s) f(a, b).  A generator whose
-    weighted degree would pass D is dropped, since it can never be the pivot
-    for one at or below D.  Leading coefficients stay 1, and the result is
-    the least generator: the only element of the interpolation module with
-    the least leading monomial and leading coefficient 1.
+    Koetter's iterative interpolation after re-encoding (Koetter, Ma and
+    Vardy).  Let R be the first min(k + 1, n) points, phi their interpolant
+    (of degree below |R| <= k + 1) and V = prod_R (x - x_i).  The map
+    Q~(x, y) = Q(x, y + phi(x)) is a bijection of the polynomials of weighted
+    degree <= D and y-degree <= j_cap that keeps each one's leading monomial
+    in (weighted degree, y-degree, x-degree) order and its coefficient, since
+    x^i phi^(j-s) y^s has weighted degree <= i + k j and, when equal, lower
+    y-degree.  It takes the points (x_i, y_i) to (x_i, y_i - phi(x_i)), so
+    those of R to (x_i, 0), where order m means that V^(m-j) divides Q~_j,
+    the coefficient of y^j.  The Q~ vanishing to order m on R are therefore
+    exactly the sums of V^e_j P_j y^j with e_j = max(0, m - j), and Koetter's
+    algorithm runs on the cofactors P_j: the generators start as
+    V^e_j y^j (P_j = 1, one dropped if it already passes D), and only the
+    other n - |R| points impose constraints.  Mapping the least generator back
+    by y -> y - phi(x) gives the least element of Q's module, so the result
+    is the one the plain algorithm over all n points would give.
 
-    The generators and their derivatives are int64 arrays of elements of
-    `field`, an `ff.Field`, and all arithmetic on them is its `v*` methods.
+    At each remaining point (a, b - phi(a)) the constraints D_(r,s) Q~ = 0
+    are imposed r outer, s inner, so (r-1, s) is met before (r, s).  The
+    x-Taylor vector of row j at a is P_j's convolved with the first m Taylor
+    coefficients of V^e_j there.  Each constraint is imposed by the
+    generator with the least leading monomial among those it does not yet
+    hold for: that pivot cancels the others' discrepancies and is then
+    multiplied by (x - a).  The Hasse derivatives at a point are taken once
+    per generator and then follow the same row operations; for the pivot
+    they shift, as D_(r,s)((x - a) f)(a, b) = D_(r-1,s) f(a, b).  A
+    generator whose weighted degree would pass D is dropped, since it can
+    never be the pivot for one at or below D.  Leading coefficients stay 1,
+    and the result is the only element of the interpolation module with the
+    least leading monomial and leading coefficient 1.  Q~_j = V^e_j P_j is
+    then expanded and Q(x, y) = Q~(x, y - phi) taken by Horner's rule in y.
+
+    Coordinates must be elements of `field`, an `ff.Field` (else
+    `ff.FieldMismatch`), with distinct x.  The generators and their
+    derivatives are int64 arrays of elements, and all arithmetic on them is
+    the field's `v*` methods.
     """
+    for x, y in points:
+        field.validate(x)
+        field.validate(y)
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct x-coordinates")
     if len(points) != params.n_points:
         raise ValueError("point count does not match params")
+    vmul, vsum, vaxpy = field.vmul, field.vsum, field.vaxpy
+    k, m, D = params.k, params.multiplicity, params.weighted_degree_bound
+    J = params.y_degree_cap + 1
+    n_re = min(k + 1, len(points))
+    phi, V = _reencoding(field, points[:n_re])
+    e = [max(0, m - j) for j in range(J)]
+    lay = _Layout(k, D, [n_re * ej for ej in e])
+    js = lay.js
+    e_rows = [e[j] for j in js]
+    # vrow[t] = V^e_j for j = js[t], of degree n_re e_j <= D
+    vpow = [Poly.one(field)]
+    for _ in range(max(e_rows)):
+        vpow.append(vpow[-1] * V)
+    vrow = np.zeros((len(js), D + 1), dtype=np.int64)
+    for t, ej in enumerate(e_rows):
+        vrow[t, :len(vpow[ej].coeffs)] = vpow[ej].coeffs
     # gens[g] is generator g's coefficient vector and tab[g, r, s] its
     # D_(r,s) at the current point (entries r + s < m used)
-    vmul, vsum, vaxpy = field.vmul, field.vsum, field.vaxpy
-    m, D = params.multiplicity, params.weighted_degree_bound
-    lay = _Layout(params)
-    J = params.y_degree_cap + 1
     lead = list(lay.initial_leads)
-    gens = np.zeros((J, len(lay.shift)), dtype=np.int64)
-    gens[range(J), lead] = field.one
-    shift, rows, starts = np.array(lay.shift), np.array(lay.rows), lay.starts[:-1]
+    gens = np.zeros((len(js), len(lay.shift)), dtype=np.int64)
+    gens[range(len(js)), lead] = field.one
+    shift, rows, xexp = np.array(lay.shift), np.array(lay.rows), np.array(lay.xexp)
     taylor_x, taylor_y = _Taylor(field, m, D + 1), _Taylor(field, m, J)
-    for a, b in points:
-        hx = taylor_x.table(a)[:, lay.xexp]
-        hy = taylor_y.table(b).T
-        by_row = gens[:, rows]
+    for a, b in points[n_re:]:
+        # tau[t, j] = D_t V^e_j at a, u[g, r, j] = D_r P_j at a, and D_r of
+        # V^e_j P_j is their convolution sum_(t <= r) tau[r - t, j] u[g, t, j]
+        ta = taylor_x.table(a)
+        tau = vsum(vmul(ta[:, None, :], vrow), 2)
+        hy = taylor_y.table(field.sub(b, phi.eval(a)))[:, js].T
+        by_row, hx = gens[:, rows], ta[:, xexp]
+        u = np.empty((len(lead), m, len(js)), dtype=np.int64)
         tab = np.empty((len(lead), m, m), dtype=np.int64)
         for r in range(m):
-            u = vsum(vmul(by_row, hx[r]), 1, starts)
-            tab[:, r] = vsum(vmul(u[:, :, None], hy), 1)
+            u[:, r] = vsum(vmul(by_row, hx[r]), 1, lay.starts)
+            w = vsum(vmul(tau[r::-1], u[:, :r + 1]), 1)
+            tab[:, r] = vsum(vmul(w[:, :, None], hy), 1)
         for r in range(m):
             for s in range(m - r):
                 disc = tab[:, r, s]
@@ -256,7 +340,19 @@ def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
                 tab[f, 0] = 0
                 lead[f] = lay.up[lead[f]]
     least = gens[min(range(len(lead)), key=lead.__getitem__)]
-    return BivariatePoly(field, params.k, dict(zip(lay.monos, least.tolist())))
+    P = np.zeros((len(js), D + 1), dtype=np.int64)
+    P[lay.row_of, xexp] = least[rows]
+    Qt = np.zeros((J, D + 1), dtype=np.int64)
+    Qt[js] = _addmul(field, np.zeros_like(P), P, vrow)
+    # Q = Q~(x, y - phi) by Horner's rule, acc <- (y - phi) acc + Q~_j from
+    # the top nonzero row down; the top row of acc is 0 before each step
+    neg_phi = np.array([field.neg(phi.coeff(t)) for t in range(n_re)], dtype=np.int64)
+    acc = np.zeros_like(Qt)
+    for row in Qt[np.flatnonzero(Qt.any(axis=1))[-1]::-1]:
+        acc = _addmul(field, np.concatenate([row[None], acc[:-1]]), acc, neg_phi)
+    j_idx, i_idx = np.nonzero(acc)
+    return BivariatePoly(field, k, dict(zip(zip(i_idx.tolist(), j_idx.tolist()),
+                                            acc[j_idx, i_idx].tolist())))
 
 
 # -- Roth-Ruckenstein y-root extraction ----------------------------------------------

@@ -257,10 +257,39 @@ class Poly:
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor (zero if both inputs are zero)."""
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.make_monic()[1]
+    """Monic greatest common divisor (zero if both inputs are zero).
+
+    Euclid on coefficient lists, keeping only remainders: each step reduces
+    a by b in place, cuts a below deg(b) and strips its trailing zeros, and
+    swaps.  No quotient and no intermediate `Poly` is built.
+    """
+    field = f.field
+    zero = field.zero
+    a, b = list(f.coeffs), list(g.coeffs)
+    p = field.p if isinstance(field, ff.Field) and field.d == 1 else None
+    while b:
+        db = len(b) - 1
+        low = b[:db]
+        if p is not None:
+            inv_lc = pow(b[-1], p - 2, p)
+            for i in range(len(a) - 1 - db, -1, -1):
+                c = a[i + db]
+                if c:
+                    c = c * inv_lc % p
+                    a[i:i + db] = [(u - c * v) % p for u, v in zip(a[i:i + db], low)]
+        else:
+            sub, mul = field.sub, field.mul
+            inv_lc = field.inv(b[-1])
+            for i in range(len(a) - 1 - db, -1, -1):
+                c = a[i + db]
+                if c != zero:
+                    c = mul(c, inv_lc)
+                    a[i:i + db] = [sub(u, mul(c, v)) for u, v in zip(a[i:i + db], low)]
+        del a[db:]
+        while a and a[-1] == zero:
+            a.pop()
+        a, b = b, a
+    return Poly(field, a).make_monic()[1]
 
 
 def ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:

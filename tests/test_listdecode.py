@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,7 +6,9 @@ import random
 import pytest
 
 import kummerlog as kl
+from kummerlog import digits
 from kummerlog import listdecode as ld
+from kummerlog.ff import FieldMismatch
 from kummerlog.poly import Poly, roots
 
 from bivariate_reference import eval_y, evaluate, hasse_eval, mul, vanishes_to_order, y_minus
@@ -71,6 +74,42 @@ def test_interpolate_rejects_repeated_x(f7):
         kl.interpolate(f7, [(1, 2), (1, 3)], params)
 
 
+def test_interpolate_rejects_non_field_coordinates(f7, f9):
+    # 8 = 1 in GF(7) would pass the distinct-x check; 20 is past F_9
+    params = kl.select_params(2, 1, 2)
+    for field, pts in ((f7, [(1, 2), (8, 3)]), (f9, [(1, 2), (3, 20)]),
+                       (f7, [(-1, 2), (3, 4)]), (f7, [(1, 2), (3, -4)])):
+        with pytest.raises(FieldMismatch):
+            kl.interpolate(field, pts, params)
+
+
+def test_interpolate_pinned_at_benchmark_sizes():
+    # Q on the decoding points of planted instances at the contexts of the
+    # decode and cliff benchmarks, hashed; the digest was taken from the
+    # interpolation without re-encoding, which imposed every point's
+    # constraints (the dense reference is too slow at these sizes)
+    contexts = [kl.build_kummer(kl.build_field(29), 7, 2, 1),
+                kl.build_artin_schreier(7, 1, 0),
+                kl.build_kummer(kl.build_field(29), 14, 2, 1),
+                kl.build_kummer(kl.build_field(31), 15, 3, 1),
+                kl.build_artin_schreier(11, 1, 0),
+                kl.build_kummer(kl.build_field(5, 2, rng_seed=1), 8, 6, 1)]
+    digest = hashlib.sha256()
+    mults = []
+    for i, ctx in enumerate(contexts):
+        n, q = ctx.degree, ctx.base.q
+        params = kl.select_params(n, max(1, digits.curve_degree_bound(n)), digits.agreement_bound(n))
+        mults.append(params.multiplicity)
+        rng = random.Random(30 + i)
+        for _ in range(2):
+            e = digits.sample_decodable(n, q, rng)
+            pts = kl.build_points(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)))
+            Q = kl.interpolate(ctx.base, pts, params)
+            digest.update(repr(sorted(Q.coeffs.items())).encode())
+    assert mults == [8, 8, 8, 3, 3, 2]
+    assert digest.hexdigest() == "57afca5ff4b9c601210cb23b94e61b8d478a5da1f05af586d69007fea3433357"
+
+
 def test_interpolate_generic_field_path(f9):
     # extension coefficients take the log/exp-table side of the ff array methods
     rng = random.Random(11)
@@ -131,9 +170,21 @@ def _corpus_fields(f8, f9):
 
 
 def _interpolation_corpus(f8, f9, count):
-    """(field, points, params) with random points over prime and extension fields."""
+    """(field, points, params) with random points over prime and extension fields:
+    re-encoding edge cases first, then `count` random draws."""
     fields = _corpus_fields(f8, f9)
     rng = random.Random(18)
+    f2 = fields[0]
+    # (n, k, A): n <= k + 1 leaves no constraint after re-encoding ((1, 2, 5),
+    # (2, 3, 4), (3, 2, 3)); k = 0 re-encodes one point; V^m y^0 starts above
+    # D at (3, 1, 2), (3, 2, 3) and (2, 0, 1), and V^2 y^2 at (1, 3, 2)
+    for field in (f2, f8, f9):
+        for npts, k, A in ((1, 2, 5), (2, 3, 4), (3, 2, 3), (3, 1, 2), (5, 0, 2),
+                           (2, 0, 1), (1, 3, 2)):
+            if npts <= field.q:
+                xs = rng.sample(range(field.q), npts)
+                yield (field, [(x, field.random_element(rng)) for x in xs],
+                       kl.select_params(npts, k, A))
     checked = 0
     while checked < count:
         # the least agreement above sqrt(k n) gives multiplicities up to 4
