@@ -87,17 +87,18 @@ class DigitCountTable:
     rows: list[list[int]] = field(repr=False)
     cum_rows: list[list[int]] = field(repr=False)
 
-    def count(self, w: int, m: int) -> int:
-        """N(w, m, q): digit vectors of length m with sum exactly w."""
-        if w < 0 or w > self.w_max:
-            return 0
-        return self.rows[m][w]
-
     def cumulative(self, s: int, m: int) -> int:
         """Digit vectors of length m with sum at most s (s capped at w_max)."""
         if s < 0:
             return 0
         return self.cum_rows[m][min(s, self.w_max)]
+
+
+def _next_row(row: list[int], q: int) -> list[int]:
+    """Row m + 1 of N(., ., q) from row m, over the same sums: each entry is
+    a width-q window sum, read off the prefix sums."""
+    pre = list(itertools.accumulate(row, initial=0))
+    return [pre[v + 1] - pre[max(0, v - q + 1)] for v in range(len(row))]
 
 
 def count_table(n: int, q: int, w_max: int) -> DigitCountTable:
@@ -106,19 +107,8 @@ def count_table(n: int, q: int, w_max: int) -> DigitCountTable:
         raise ValueError("need n >= 0, q >= 2, w_max >= 0")
     rows = [[1] + [0] * w_max]
     for _ in range(n):
-        prev = rows[-1]
-        cur = [0] * (w_max + 1)
-        for w in range(w_max + 1):
-            lo = max(0, w - q + 1)
-            cur[w] = sum(prev[lo:w + 1])
-        rows.append(cur)
-    cums = []
-    for row in rows:
-        acc, cr = 0, []
-        for v in row:
-            acc += v
-            cr.append(acc)
-        cums.append(cr)
+        rows.append(_next_row(rows[-1], q))
+    cums = [list(itertools.accumulate(row)) for row in rows]
     return DigitCountTable(n, q, w_max, rows, cums)
 
 
@@ -132,11 +122,9 @@ def count_N(w: int, n: int, q: int) -> int:
         return 0
     if n * w > COUNT_DP_GUARD:
         raise TooLarge(f"n*w = {n * w} exceeds DP guard {COUNT_DP_GUARD}")
-    # one rolling row: the next row is a width-q window sum of prefix sums
     row = [1] + [0] * w
     for _ in range(n):
-        pre = list(itertools.accumulate(row, initial=0))
-        row = [pre[v + 1] - pre[max(0, v - q + 1)] for v in range(w + 1)]
+        row = _next_row(row, q)
     return row[w]
 
 

@@ -238,7 +238,7 @@ class KummerContext(_ContextBase):
         # a root alpha has alpha^q = h*alpha, so its Frobenius orbit has the
         # size of the order of h, and x^n - a is irreducible iff that is n
         h = base.pow_(a, (q - 1) // n)
-        if a == base.zero or any(base.pow_(h, n // r) == base.one for r in ff._prime_factors(n)):
+        if a == base.zero or any(base.pow_(h, n // r) == base.one for r in set(ff.factorize(n))):
             raise ReducibleBinomial(f"x^{n} - {a} is reducible over {base!r}")
         self.n = n
         self.a = a
@@ -352,16 +352,9 @@ class _ExtFieldView:
     def elements(self):
         if self.q > ff.ENUM_LIMIT:
             raise ff.TooLarge(f"enumeration of q = {self.q} exceeds guard {ff.ENUM_LIMIT}")
-        base = self.ctx.base
-        out = []
-        for idx in range(self.q):
-            coeffs = []
-            v = idx
-            for _ in range(self.ctx.degree):
-                coeffs.append(v % base.q)
-                v //= base.q
-            out.append(self.ctx.element(coeffs))
-        return out
+        ctx = self.ctx
+        return [ctx.element(ExponentDigits.from_int(idx, ctx.base.q, ctx.degree).digits)
+                for idx in range(self.q)]
 
     def sort_key(self, x):
         return x.key()
@@ -390,9 +383,6 @@ def embed_from_prime_model(ctx, u: Poly, rng: random.Random):
     def psi(v: Poly) -> ExtElement:
         if v.field != prime:
             raise ContextMismatch("psi takes polynomials over the prime field")
-        acc = ctx.zero_element
-        for c in reversed(v.coeffs):
-            acc = acc * rho + view.embed_int(c)
-        return acc
+        return Poly(view, [view.embed_int(c) for c in v.coeffs]).eval(rho)
 
     return rho, psi

@@ -14,10 +14,14 @@ The `v*` methods apply the same arithmetic elementwise to numpy int64 arrays
 of element encodings, so array code (the list decoder) is written once for
 every q: prime fields reduce residues mod p, extension fields go through
 numpy copies of the tables.
+
+The package's integer number theory lives here too, once: the primality
+test and the factorization behind q - 1, n and q^n - 1.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -54,39 +58,91 @@ class TooLarge(ValueError):
 MAX_PRIME = 1 << 31          # products of residues must fit a 64-bit word
 ENUM_LIMIT = 1 << 20         # full-field enumeration / table guard
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e24
 
 
-def is_prime(m: int) -> bool:
-    """Deterministic primality test for m < 2^31 (trial division)."""
-    if m < 2:
+def is_prime(n: int) -> bool:
+    """Miller-Rabin over `_MR_BASES`, exact for every p and every factor of a
+    group order below `oracle.FACTOR_GUARD`."""
+    if n < 2:
         return False
-    for r in _SMALL_PRIMES:
-        if m == r:
-            return True
-        if m % r == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-    f = 41
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
     return True
 
 
-def _prime_factors(m: int) -> list[int]:
-    """Distinct prime factors of a small integer by trial division."""
-    out = []
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
+def _pollard_brent(n: int, rng: random.Random) -> int:
+    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    while True:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorize(m: int, rng: random.Random | None = None) -> list[int]:
+    """Prime factorization of m >= 1 as a sorted list with multiplicity."""
+    if m < 1:
+        raise ValueError("factorize needs m >= 1")
+    out: list[int] = []
+    for p in (2, 3, 5, 7):
+        while m % p == 0:
+            out.append(p)
+            m //= p
+    f = 11
+    while f * f <= m and f < 10_000:
+        while m % f == 0:
             out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out.append(m)
-    return out
+            m //= f
+        f += 2
+    stack = [m] if m > 1 else []
+    while stack:
+        v = stack.pop()
+        if v == 1:
+            continue
+        if is_prime(v):
+            out.append(v)
+            continue
+        rng = rng if rng is not None else random.Random(0xFAC7)  # only composites draw
+        d = _pollard_brent(v, rng)
+        stack.extend((d, v // d))
+    return sorted(out)
 
 
 class Field:
@@ -116,8 +172,6 @@ class Field:
             self._exp = self._log = self._add_table = self._neg_table = None
             self._vexp = self._vlog = self._vadd_table = self._powers_of_p = None
         else:
-            if self.q > ENUM_LIMIT:
-                raise TooLarge(f"extension field with q = {self.q} exceeds table guard {ENUM_LIMIT}")
             if modulus is None or len(modulus) != d + 1 or modulus[-1] != 1:
                 raise DegreeMismatch("extension modulus must be monic of degree d")
             self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
@@ -139,24 +193,6 @@ class Field:
             x = x * self.p + (c % self.p)
         return x
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free polynomial multiplication mod the modulus (setup only)."""
-        p, d = self.p, self.d
-        ac = self._coeffs_of(a)
-        bc = self._coeffs_of(b)
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(ac):
-            if ai:
-                for j, bj in enumerate(bc):
-                    prod[i + j] += ai * bj
-        mod = self.modulus
-        for idx in range(2 * d - 2, d - 1, -1):
-            c = prod[idx] % p
-            if c:
-                for j in range(d):
-                    prod[idx - d + j] -= c * mod[j]
-        return self._index_of(v % p for v in prod[:self.d])
-
     def _build_tables(self):
         p, d, q = self.p, self.d, self.q
         # additive structure
@@ -171,21 +207,28 @@ class Field:
             ]
         else:
             self._add_table = None
-        # multiplicative structure: find a primitive element and fill exp/log
-        order_factors = _prime_factors(q - 1)
+        # multiplicative structure: find a primitive element and fill exp/log,
+        # multiplying coefficient polynomials over F_p modulo the modulus
+        from .poly import Poly, powmod  # deferred: poly imports this module
+
+        prime = Field(p)
+        mod, one = Poly(prime, self.modulus), Poly.one(prime)
+        order_factors = set(factorize(q - 1))
         for g in range(2, q):
-            if all(self._pow_raw(g, (q - 1) // r) != 1 for r in order_factors):
+            gen = Poly(prime, self._coeffs_of(g))
+            if all(powmod(gen, (q - 1) // r, mod) != one for r in order_factors):
                 break
         else:  # pragma: no cover - a primitive element always exists
             raise ReducibleModulus("no primitive element found; modulus is reducible")
         exp = [1] * (2 * (q - 1))
         log = [0] * q
-        acc = 1
+        acc = one
         for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_raw(acc, g)
-        if acc != 1:
+            x = self._index_of(acc.coeffs)
+            exp[i] = x
+            log[x] = i
+            acc = acc * gen % mod
+        if acc != one:
             raise ReducibleModulus("multiplicative group has wrong order; modulus is reducible")
         for i in range(q - 1):
             exp[q - 1 + i] = exp[i]
@@ -200,15 +243,6 @@ class Field:
         self._vadd_table = (None if self._add_table is None
                             else np.array(self._add_table, dtype=np.int64))
         self._powers_of_p = p ** np.arange(d, dtype=np.int64)
-
-    def _pow_raw(self, x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, x)
-            x = self._mul_raw(x, x)
-            e >>= 1
-        return r
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -362,7 +396,6 @@ def build_field(p: int, d: int = 1, modulus=None, rng_seed: int = 0) -> Field:
     """
     if not isinstance(p, int):
         raise NotPrime(f"{p} is not prime")
-    # the bound comes first: trial division of a prime near 2^61 takes minutes
     if p >= MAX_PRIME:
         raise TooLarge(f"p must be below 2^31, got {p}")
     if not is_prime(p):
@@ -373,6 +406,9 @@ def build_field(p: int, d: int = 1, modulus=None, rng_seed: int = 0) -> Field:
         if modulus is not None:
             raise DegreeMismatch("prime field takes no modulus")
         return Field(p)
+    # before any modulus search; q <= 2^20 needs d <= 20, so p^d stays small
+    if d >= ENUM_LIMIT.bit_length() or p ** d > ENUM_LIMIT:
+        raise TooLarge(f"extension field {p}^{d} exceeds table guard {ENUM_LIMIT}")
 
     from . import poly  # deferred: poly imports this module
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import random
 from collections.abc import Sequence
 
 from . import digits as _digits
-from .ff import Field
+from .ff import Field, factorize, is_prime as _is_probable_prime
 
 
 class NotInSubgroup(ValueError):
@@ -90,94 +89,8 @@ def _identity_like(g):
     return g.ctx.one_element
 
 
-# -- integer factorization ---------------------------------------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e24
-
 # group orders from here on are never factored: Pollard-Brent has no time bound
 FACTOR_GUARD = 1 << 80
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def factorize(m: int, rng: random.Random | None = None) -> list[int]:
-    """Prime factorization of m >= 1 as a sorted list with multiplicity."""
-    if m < 1:
-        raise ValueError("factorize needs m >= 1")
-    rng = rng if rng is not None else random.Random(0xFAC7)
-    out: list[int] = []
-    for p in (2, 3, 5, 7):
-        while m % p == 0:
-            out.append(p)
-            m //= p
-    f = 11
-    while f * f <= m and f < 10_000:
-        while m % f == 0:
-            out.append(f)
-            m //= f
-        f += 2
-    stack = [m] if m > 1 else []
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if _is_probable_prime(v):
-            out.append(v)
-            continue
-        d = _pollard_brent(v, rng)
-        stack.extend((d, v // d))
-    return sorted(out)
 
 
 # -- generic-group engines ----------------------------------------------------------

@@ -402,7 +402,7 @@ def is_irreducible(f: Poly) -> bool:
         frob.append(h)
     if frob[n] != x % f:
         return False
-    for r in ff._prime_factors(n):
+    for r in set(ff.factorize(n)):
         if gcd(frob[n // r] - x, f).degree != 0:
             return False
     return True

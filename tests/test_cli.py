@@ -94,6 +94,16 @@ def test_gen_refuses_a_rare_min_nonzero_fast(tmp_path, capsys):
     assert not (tmp_path / "i.json").exists()
 
 
+def test_gen_refuses_an_oversized_base_field_fast(tmp_path, capsys):
+    # 2^600 > 2^20 is refused before any search for a degree-600 modulus
+    t0 = time.perf_counter()
+    assert main(["gen", "--kind", "kummer", "--p", "2", "--d", "600", "--n", "3", "--a", "1",
+                 "--b", "1", "--out", str(tmp_path / "x.json")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("TooLarge: ")
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--min-nonzero", "16"],
     ["--sum-bound", "3", "--min-nonzero", "4"],
@@ -245,7 +255,7 @@ def test_count_tail_ratio_guard_exit2_fast(capsys):
 
 
 def test_order_refuses_a_large_prime_fast(capsys):
-    # 2^61 - 1 is prime; the p < 2^31 bound is tested before trial division
+    # 2^61 - 1 is prime; the p < 2^31 bound is tested before the primality test
     t0 = time.perf_counter()
     assert main(["order", "--p", "2305843009213693951", "--n", "2", "--a", "1",
                  "--b", "1"]) == 2

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 import time
 
@@ -34,6 +35,9 @@ def test_build_field_errors():
         kl.build_field(6)
     with pytest.raises(ff.NotPrime):
         kl.build_field(1)
+    for n in (2047, 1373653):  # strong pseudoprimes to the smallest bases
+        with pytest.raises(ff.NotPrime):
+            kl.build_field(n)
     with pytest.raises(ff.ReducibleModulus):
         kl.build_field(2, 2, [1, 0, 1])  # t^2 + 1 = (t + 1)^2
     with pytest.raises(ff.DegreeMismatch):
@@ -47,11 +51,55 @@ def test_build_field_errors():
 
 
 def test_build_field_refuses_a_large_prime_at_once():
-    # the bound is tested before trial division, which would take minutes here
-    t0 = time.perf_counter()
-    with pytest.raises(ff.TooLarge):
-        kl.build_field(2**61 - 1)
-    assert time.perf_counter() - t0 < 1.0
+    # the bounds on p and on p^d come before the primality test and the
+    # modulus search; a degree-600 search would take minutes
+    for args in ((2**61 - 1,), (2, 600)):
+        t0 = time.perf_counter()
+        with pytest.raises(ff.TooLarge):
+            kl.build_field(*args)
+        assert time.perf_counter() - t0 < 1.0
+
+
+def _table_digest(field):
+    q = field.q
+    h = hashlib.sha256(repr(field.modulus).encode())
+    h.update(repr([field.mul(x, y) for x in range(q) for y in range(q)]).encode())
+    h.update(repr([field.inv(x) for x in range(1, q)]).encode())
+    h.update(repr([field.neg(x) for x in range(q)]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("args, kwargs, digest", [
+    ((2, 2, [1, 1, 1]), {}, "8482c59aaed78a441dc01929c8f5327cc0315cbb388211f55ede2826919af876"),
+    ((2, 3), {"rng_seed": 1}, "bfb1b037b7001a1d2202c6869111711ce143b436cb8e8f85538b59f67ba89c05"),
+    ((3, 2), {"rng_seed": 1}, "bfabc6464ad422b106ee228879bfae9495efe477493c3806bb372544b4ab9d70"),
+    ((5, 2, [2, 0, 1]), {}, "30d16680a02a7e33a3f6209d6905661078ad608e0674f62ceb3ef2286b110ff5"),
+    ((7, 2), {"rng_seed": 1}, "d9c1dcbd69089f9a47816aa4fb834610c019ead7e02d8c80351bac7d647890f0"),
+    ((2, 8), {"rng_seed": 1}, "287b2e88eb63c908dc69f9ef50dae7d851d3925d6cbfa1837c912861bd501a81"),
+    ((3, 5), {"rng_seed": 1}, "d8920b1b6df42eb5b8e9a467d029939bba9cd468f6c8ae46072e674929aac311"),
+], ids=["F4", "F8", "F9", "F25", "F49", "F256", "F243"])
+def test_field_tables_pinned(args, kwargs, digest):
+    # the modulus and the full mul, inv and neg tables, hashed when the log
+    # tables were filled by a dedicated coefficient multiplication
+    assert _table_digest(kl.build_field(*args, **kwargs)) == digest
+
+
+def test_is_prime_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    assert [ff.is_prime(n) for n in range(20000)] == [sp.isprime(n) for n in range(20000)]
+    # strong pseudoprimes to the first bases, and Carmichael numbers
+    for n in (2047, 1373653, 25326001, 3215031751, 561, 41041):
+        assert (ff.is_prime(n), sp.isprime(n)) == (False, False)
+
+
+def test_factorize_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    for m in range(1, 5000):
+        assert sorted(set(ff.factorize(m))) == sorted(sp.factorint(m))
+    # q - 1, n and q^n - 1 of the benchmark contexts (perfbench/workloads.py)
+    for q, n in ((31, 15), (29, 14), (49, 12), (25, 8), (29, 7), (31, 6), (11, 11), (7, 7)):
+        for m in (q - 1, n, q ** n - 1):
+            assert sorted(set(ff.factorize(m))) == sorted(sp.factorint(m))
 
 
 def test_modulus_search_is_seeded():
