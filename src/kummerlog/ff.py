@@ -10,10 +10,12 @@ Extension fields precompute discrete-log tables over a primitive element,
 so mul/inv/pow are O(1) lookups; that is why extension construction is
 guarded to q <= 2^20.
 
-The `v*` methods apply the same arithmetic elementwise to numpy int64 arrays
-of element encodings, so array code (the list decoder) is written once for
-every q: prime fields reduce residues mod p, extension fields go through
-numpy copies of the tables.
+The `v*` methods apply the same arithmetic to numpy int64 arrays of element
+encodings, elementwise or as a matrix product (`vmatmul`), so array code
+(the list decoder) is written once for every q: prime fields reduce residues
+mod p, extension fields go through numpy copies of the tables.  A prime
+field may also leave sums unreduced while int64 has room for them
+(`vaxpy_lazy`, `lazy_steps`, `vreduce`).
 
 The package's integer number theory lives here too, once: the primality
 test and the factorization behind q - 1, n and q^n - 1.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import numpy as np
 
@@ -156,7 +159,7 @@ class Field:
         "p", "d", "q", "modulus",
         "zero", "one",
         "_exp", "_log", "_add_table", "_neg_table",
-        "_vexp", "_vlog", "_vadd_table", "_powers_of_p",
+        "_vexp", "_vlog", "_vadd_table", "_powers_of_p", "lazy_steps",
     )
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
@@ -171,11 +174,15 @@ class Field:
             self.modulus = None
             self._exp = self._log = self._add_table = self._neg_table = None
             self._vexp = self._vlog = self._vadd_table = self._powers_of_p = None
+            # residues below p plus t products of two of them stay below 2^63
+            self.lazy_steps = ((1 << 63) - p) // (p - 1) ** 2
         else:
             if modulus is None or len(modulus) != d + 1 or modulus[-1] != 1:
                 raise DegreeMismatch("extension modulus must be monic of degree d")
             self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
             self._build_tables()
+            # vaxpy_lazy is vaxpy here, so elements never need reducing
+            self.lazy_steps = sys.maxsize
 
     # -- construction helpers -------------------------------------------------
 
@@ -195,18 +202,17 @@ class Field:
 
     def _build_tables(self):
         p, d, q = self.p, self.d, self.q
-        # additive structure
-        self._neg_table = [self._index_of((-c) % p for c in self._coeffs_of(x)) for x in range(q)]
+        # additive structure, on the coefficient vectors of all q elements
+        self._powers_of_p = p ** np.arange(d, dtype=np.int64)
+        digits = self._digits(np.arange(q, dtype=np.int64))
+        self._neg_table = ((-digits) % p @ self._powers_of_p).tolist()
         if p == 2:
-            self._add_table = None          # addition is xor
+            self._vadd_table = None         # addition is xor
         elif q <= 256:
-            self._add_table = [
-                [self._index_of((a + b) % p for a, b in zip(self._coeffs_of(x), self._coeffs_of(y)))
-                 for y in range(q)]
-                for x in range(q)
-            ]
+            self._vadd_table = (digits[:, None] + digits) % p @ self._powers_of_p
         else:
-            self._add_table = None
+            self._vadd_table = None
+        self._add_table = None if self._vadd_table is None else self._vadd_table.tolist()
         # multiplicative structure: find a primitive element and fill exp/log,
         # multiplying coefficient polynomials over F_p modulo the modulus
         from .poly import Poly, powmod  # deferred: poly imports this module
@@ -240,9 +246,6 @@ class Field:
         self._vlog = np.array(log, dtype=np.int64)
         self._vlog[0] = zero_log
         self._vexp = np.array(exp + [0] * (zero_log + 1), dtype=np.int64)
-        self._vadd_table = (None if self._add_table is None
-                            else np.array(self._add_table, dtype=np.int64))
-        self._powers_of_p = p ** np.arange(d, dtype=np.int64)
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -297,7 +300,8 @@ class Field:
     #
     # Arguments broadcast like numpy operands; a scalar argument may be a
     # plain int.  For prime fields every product of two residues is below
-    # 2^62 (p < 2^31), so each product is reduced before it is summed.
+    # 2^62 (p < 2^31), so each product is reduced before it is summed,
+    # unless the sum is known to stay below 2^63 (`vmatmul`, `lazy_steps`).
 
     def vmul(self, x, y):
         """Elementwise x * y."""
@@ -316,17 +320,37 @@ class Field:
             return self._vadd_table[y, cx]
         return (self._digits(y) + self._digits(cx)) % self.p @ self._powers_of_p
 
-    def vsum(self, x, axis: int, starts=None):
-        """Sum of x along axis, or over the segments of that axis that begin at
-        the indices `starts` (as `np.add.reduceat`)."""
+    def vaxpy_lazy(self, y, c, x):
+        """y + c * x like `vaxpy`, left unreduced by a prime field: from
+        residues, an array stays exact for `lazy_steps` such steps with
+        residues c and x, and `vreduce` then brings it below p."""
+        if self.d == 1:
+            return c * x + y
+        return self.vaxpy(y, c, x)
+
+    def vreduce(self, x):
+        """The elements that `vaxpy_lazy` sums stand for, each below q."""
+        return x % self.p if self.d == 1 else x
+
+    def vmatmul(self, x, y):
+        """x @ y with `np.matmul` semantics, for operands of two or more axes.
+
+        A prime field whose inner length K keeps K (p - 1)^2 below 2^63 takes
+        one exact int64 product and one `% p`; otherwise each product is
+        reduced before the K-term sum."""
+        if self.d == 1 and x.shape[-1] * (self.p - 1) ** 2 < 1 << 63:
+            return np.matmul(x, y) % self.p
+        return self.vsum(self.vmul(x[..., :, :, None], y[..., None, :, :]), -2)
+
+    def vsum(self, x, axis: int):
+        """Sum of x along axis."""
         if self.d > 1 and self.p == 2:
-            xor = np.bitwise_xor
-            return xor.reduce(x, axis) if starts is None else xor.reduceat(x, starts, axis)
+            return np.bitwise_xor.reduce(x, axis)
         if self.d > 1:
             # sum the coefficient vectors, held on a new last axis
             axis %= x.ndim
             x = self._digits(x)
-        s = np.add.reduce(x, axis) if starts is None else np.add.reduceat(x, starts, axis)
+        s = np.add.reduce(x, axis)
         s %= self.p
         return s if self.d == 1 else s @ self._powers_of_p
 

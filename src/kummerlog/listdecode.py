@@ -23,11 +23,19 @@ of V, and only the other points impose constraints.  The shift keeps
 every polynomial's leading monomial and weighted degree, so shifting the
 least generator back gives the same Q as interpolating at all n points.
 
+At each point the Hasse derivatives of every generator come from a few
+matrix products, and each constraint is then one rank-1 update of a single
+int64 work array (a row per generator: its derivatives at the point, then
+its coefficients) and one multiplication of the pivot by (x - a).  Over a
+prime field the updates stay unreduced for as many steps as int64 has room
+for (`ff.Field.lazy_steps`), then one `% p` brings them back.
+
 Roth-Ruckenstein root finding then runs on Q's coefficients as a dense
 (j, i) array, row j holding the x-coefficients of y^j.  Both stages hold
 field elements in numpy int64 arrays and do all their arithmetic through
-the `ff.Field` array methods (`vmul`, `vaxpy`, `vsum`), so one body serves
-prime and extension base fields alike.
+the `ff.Field` array methods (`vmul`, `vaxpy`, `vmatmul` and the lazy
+`vaxpy_lazy`/`vreduce`), so one body serves prime and extension base
+fields alike.
 """
 
 from __future__ import annotations
@@ -183,9 +191,9 @@ class _Layout:
     index are 0: a reduction by a smaller pivot touches only the pivot's
     prefix.  Multiplying by x moves entry `shift[c]` to c (the pad for i = 0)
     and the leading index c to `up[c]` (-1 at weighted degree D).  `js`
-    lists the rows j with an entry at or below D; `rows` lists their entries
-    row by row, row t (that is, `js[t]`) from `starts[t]`, and `row_of` and
-    `xexp` give each of those entries' row t and x-exponent i.
+    lists the rows j with an entry at or below D, and `dense[t, i]` is the
+    entry of x^i in row t (that is, `js[t]`), the pad past the row's width,
+    for i below the widest row's width.
     """
 
     def __init__(self, k: int, D: int, offsets: list[int]):
@@ -195,25 +203,25 @@ class _Layout:
         self.shift = [pos.get((i - 1, j), pad) for i, j in monos] + [pad]
         self.up = [pos.get((i + 1, j), -1) for i, j in monos]
         self.js = [j for j, o in enumerate(offsets) if o + k * j <= D]
-        self.rows, self.starts, self.row_of, self.xexp = [], [], [], []
-        for t, j in enumerate(self.js):
-            width = D - k * j - offsets[j] + 1
-            self.starts.append(len(self.rows))
-            self.rows.extend(pos[(i, j)] for i in range(width))
-            self.row_of.extend([t] * width)
-            self.xexp.extend(range(width))
+        width = max(D - k * j - offsets[j] + 1 for j in self.js)
+        self.dense = np.array([[pos.get((i, j), pad) for i in range(width)] for j in self.js],
+                              dtype=np.int64)
         self.initial_leads = [pos[(0, j)] for j in self.js]
 
 
-def _addmul(field, acc, rows, poly):
-    """acc + rows * poly for 2-D arrays acc and rows of one shape, each row a
-    polynomial in x cut to the row width, and poly one coefficient vector or
-    one per row."""
-    W = rows.shape[1]
-    out = acc.copy()
-    for t in range(min(poly.shape[-1], W)):
-        out[:, t:] = field.vaxpy(out[:, t:], poly[..., t:t + 1], rows[:, :W - t])
-    return out
+def _toeplitz_index(n: int, width: int):
+    """Index I of shape (n, width) with I[i, u] = i - u, or n where u > i.
+
+    For v with one 0 appended (`_pad0`), v[..., I] is the Toeplitz matrix
+    of multiplication by v: (v[..., I] @ w)[i] = (v * w)[i] for i < n and
+    coefficient vectors w of length `width`."""
+    index = np.arange(n)[:, None] - np.arange(width)
+    index[index < 0] = n
+    return index
+
+
+def _pad0(v):
+    return np.concatenate([v, np.zeros(v.shape[:-1] + (1,), dtype=np.int64)], -1)
 
 
 def _reencoding(field, base) -> tuple[Poly, Poly]:
@@ -255,18 +263,27 @@ def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
 
     At each remaining point (a, b - phi(a)) the constraints D_(r,s) Q~ = 0
     are imposed r outer, s inner, so (r-1, s) is met before (r, s).  The
-    x-Taylor vector of row j at a is P_j's convolved with the first m Taylor
-    coefficients of V^e_j there.  Each constraint is imposed by the
-    generator with the least leading monomial among those it does not yet
-    hold for: that pivot cancels the others' discrepancies and is then
-    multiplied by (x - a).  The Hasse derivatives at a point are taken once
-    per generator and then follow the same row operations; for the pivot
-    they shift, as D_(r,s)((x - a) f)(a, b) = D_(r-1,s) f(a, b).  A
-    generator whose weighted degree would pass D is dropped, since it can
-    never be the pivot for one at or below D.  Leading coefficients stay 1,
-    and the result is the only element of the interpolation module with the
-    least leading monomial and leading coefficient 1.  Q~_j = V^e_j P_j is
-    then expanded and Q(x, y) = Q~(x, y - phi) taken by Horner's rule in y.
+    Hasse derivatives of every generator there are three matrix products:
+    the table H[t, r, i] = D_r(x^i V^e_j)(a) (the Toeplitz matrix of the
+    x-Taylor coefficients of V^e_j at a, times the x-Taylor table), the
+    generators' rows times H, and that times the y-Taylor table.  Each
+    generator then lives in one work row, its D_(r,s) in (r, s) order, a
+    pad, then its coefficients.  Each constraint is imposed by the generator
+    with the least leading monomial among those it does not yet hold for:
+    that pivot cancels the others' discrepancies by one rank-1 update of the
+    work rows, from the constraint's column to the pivot's leading
+    coefficient, and is then multiplied by (x - a), one gather and one axpy,
+    as D_(r,s)((x - a) f)(a, b) = D_(r-1,s) f(a, b).  The updates skip the
+    reduction while the field's int64 headroom lasts (`ff.Field.lazy_steps`
+    steps, each adding a product of two residues: 2 at p = 2^31 - 1, about
+    10^16 at p = 31); only the pivot row, whose entries get multiplied, is
+    reduced before every step.  A generator whose weighted degree would pass D is
+    dropped, since it can never be the pivot for one at or below D.  Leading
+    coefficients stay 1, and the result is the only element of the
+    interpolation module with the least leading monomial and leading
+    coefficient 1.  Q~_j = V^e_j P_j is then expanded and
+    Q(x, y) = Q~(x, y - phi) taken by Horner's rule in y, each product of
+    polynomials in x a matrix product with a Toeplitz matrix.
 
     Coordinates must be elements of `field`, an `ff.Field` (else
     `ff.FieldMismatch`), with distinct x.  The generators and their
@@ -281,7 +298,8 @@ def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
         raise ValueError("interpolation points must have distinct x-coordinates")
     if len(points) != params.n_points:
         raise ValueError("point count does not match params")
-    vmul, vsum, vaxpy = field.vmul, field.vsum, field.vaxpy
+    vmul, vaxpy, vmatmul = field.vmul, field.vaxpy, field.vmatmul
+    vaxpy_lazy, vreduce, lazy_steps = field.vaxpy_lazy, field.vreduce, field.lazy_steps
     k, m, D = params.k, params.multiplicity, params.weighted_degree_bound
     J = params.y_degree_cap + 1
     n_re = min(k + 1, len(points))
@@ -297,59 +315,74 @@ def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
     vrow = np.zeros((len(js), D + 1), dtype=np.int64)
     for t, ej in enumerate(e_rows):
         vrow[t, :len(vpow[ej].coeffs)] = vpow[ej].coeffs
-    # gens[g] is generator g's coefficient vector and tab[g, r, s] its
-    # D_(r,s) at the current point (entries r + s < m used)
+    # work[g] is generator g's row: its D_(r,s) at the current point in (r, s)
+    # order, a pad that stays 0, and from `off` on its coefficient vector
+    rs = [(r, s) for r in range(m) for s in range(m - r)]
+    col_of = {ij: c for c, ij in enumerate(rs)}
+    off = len(rs) + 1
+    rr, ss = np.array(rs).T
+    # multiplying by (x - a) takes entry gather[c] of the row to c
+    gather = np.array([col_of.get((r - 1, s), off - 1) for r, s in rs] + [off - 1]
+                      + [off + c for c in lay.shift])
+    dense = off + lay.dense
+    lower = _toeplitz_index(m, m)
     lead = list(lay.initial_leads)
-    gens = np.zeros((len(js), len(lay.shift)), dtype=np.int64)
-    gens[range(len(js)), lead] = field.one
-    shift, rows, xexp = np.array(lay.shift), np.array(lay.rows), np.array(lay.xexp)
+    work = np.zeros((len(js), off + len(lay.shift)), dtype=np.int64)
+    work[range(len(js)), [off + c for c in lead]] = field.one
     taylor_x, taylor_y = _Taylor(field, m, D + 1), _Taylor(field, m, J)
     for a, b in points[n_re:]:
-        # tau[t, j] = D_t V^e_j at a, u[g, r, j] = D_r P_j at a, and D_r of
-        # V^e_j P_j is their convolution sum_(t <= r) tau[r - t, j] u[g, t, j]
+        # tau[t, r] = D_r V^e_j at a, and by Leibniz's rule
+        # h[t, r, i] = D_r(x^i V^e_j)(a) = sum_(r' <= r) tau[t, r - r'] D_r' x^i
         ta = taylor_x.table(a)
-        tau = vsum(vmul(ta[:, None, :], vrow), 2)
+        tau = vmatmul(vrow, ta.T)
+        h = vmatmul(_pad0(tau)[:, lower], ta[:, :dense.shape[1]])
+        # w[t, r, g] = D_r of generator g's Q~_j at a, and
+        # D_(r,s) Q~ = sum_j D_r Q~_j D_s y^j at (a, b - phi(a))
+        w = vmatmul(h, work.T[dense])
         hy = taylor_y.table(field.sub(b, phi.eval(a)))[:, js].T
-        by_row, hx = gens[:, rows], ta[:, xexp]
-        u = np.empty((len(lead), m, len(js)), dtype=np.int64)
-        tab = np.empty((len(lead), m, m), dtype=np.int64)
-        for r in range(m):
-            u[:, r] = vsum(vmul(by_row, hx[r]), 1, lay.starts)
-            w = vsum(vmul(tau[r::-1], u[:, :r + 1]), 1)
-            tab[:, r] = vsum(vmul(w[:, :, None], hy), 1)
-        for r in range(m):
-            for s in range(m - r):
-                disc = tab[:, r, s]
-                nz = np.flatnonzero(disc)
-                if not nz.size:
-                    continue
-                f = min(nz.tolist(), key=lead.__getitem__)
-                c = vmul(disc, field.neg(field.inv(int(disc[f]))))
-                c[f] = 0
-                head = gens[:, :lead[f] + 1]
-                head[...] = vaxpy(head, c[:, None], head[f])
-                tab[...] = vaxpy(tab, c[:, None, None], tab[f])
-                if lay.up[lead[f]] < 0:
-                    gens = np.delete(gens, f, axis=0)
-                    tab = np.delete(tab, f, axis=0)
-                    del lead[f]
-                    continue
+        work[:, :off - 1] = vmatmul(w.T, hy)[:, rr, ss]
+        neg_a = field.neg(a)
+        # the rank-1 updates since the last reduction reach columns below top
+        pending = top = 0
+        for col in range(off - 1):
+            disc = vreduce(work[:, col])
+            nz = [g for g, v in enumerate(disc.tolist()) if v]
+            if not nz:
+                continue
+            f = min(nz, key=lead.__getitem__)
+            c = vmul(disc, field.neg(field.inv(int(disc[f]))))
+            c[f] = 0
+            row = vreduce(work[f])
+            hi = off + lead[f] + 1
+            work[:, col:hi] = vaxpy_lazy(work[:, col:hi], c[:, None], row[col:hi])
+            if lay.up[lead[f]] < 0:
+                work = np.delete(work, f, axis=0)
+                del lead[f]
+            else:
                 # multiply by (x - a); D_(r,s) of the product at a is D_(r-1,s)
-                gens[f] = vaxpy(gens[f, shift], field.neg(a), gens[f])
-                tab[f, 1:] = tab[f, :-1]
-                tab[f, 0] = 0
+                prod = row[gather]
+                prod[off:] = vaxpy_lazy(prod[off:], neg_a, row[off:])
+                work[f] = prod
                 lead[f] = lay.up[lead[f]]
-    least = gens[min(range(len(lead)), key=lead.__getitem__)]
-    P = np.zeros((len(js), D + 1), dtype=np.int64)
-    P[lay.row_of, xexp] = least[rows]
+                hi = off + lead[f] + 1
+            # each step adds at most one product of residues to an entry
+            pending, top = pending + 1, max(top, hi)
+            if pending == lazy_steps:
+                work[:, col:top] = vreduce(work[:, col:top])
+                pending = top = 0
+        # the next point's products need reduced coefficients
+        work[:, off:top] = vreduce(work[:, off:top])
+    P = work[min(range(len(lead)), key=lead.__getitem__)][dense]
     Qt = np.zeros((J, D + 1), dtype=np.int64)
-    Qt[js] = _addmul(field, np.zeros_like(P), P, vrow)
+    Qt[js] = vmatmul(_pad0(vrow)[:, _toeplitz_index(D + 1, P.shape[1])], P[..., None])[..., 0]
     # Q = Q~(x, y - phi) by Horner's rule, acc <- (y - phi) acc + Q~_j from
     # the top nonzero row down; the top row of acc is 0 before each step
-    neg_phi = np.array([field.neg(phi.coeff(t)) for t in range(n_re)], dtype=np.int64)
+    neg_phi = np.array([[field.neg(phi.coeff(t))] for t in range(n_re)], dtype=np.int64)
+    band = _toeplitz_index(D + 1, n_re)
     acc = np.zeros_like(Qt)
     for row in Qt[np.flatnonzero(Qt.any(axis=1))[-1]::-1]:
-        acc = _addmul(field, np.concatenate([row[None], acc[:-1]]), acc, neg_phi)
+        acc = vaxpy(np.concatenate([row[None], acc[:-1]]), field.one,
+                    vmatmul(_pad0(acc)[:, band], neg_phi)[..., 0])
     j_idx, i_idx = np.nonzero(acc)
     return BivariatePoly(field, k, dict(zip(zip(i_idx.tolist(), j_idx.tolist()),
                                             acc[j_idx, i_idx].tolist())))
@@ -392,7 +425,7 @@ class _Rows:
         # row s of Q(x, xy + c) is x^s sum_j C(j, s) c^(j-s) Q_j(x)
         f = self.field
         J, W = cur.shape
-        mixed = f.vsum(f.vmul(self.taylor.table(c)[:, :, None], cur), 1)
+        mixed = f.vmatmul(self.taylor.table(c), cur)
         out = np.zeros((J, W + J - 1), dtype=np.int64)
         for s in range(J):
             out[s, s:s + W] = mixed[s]

@@ -226,6 +226,8 @@ def test_array_methods_match_scalar_ops(p, d):
     assert field.vmul(x, y).tolist() == [field.mul(a, b) for a, b in zip(xs, ys)]
     assert field.vaxpy(y, c, x).tolist() == [
         field.add(b, field.mul(s, a)) for a, b, s in zip(xs, ys, cs)]
+    assert field.vreduce(field.vaxpy_lazy(y, c, x)).tolist() == [
+        field.add(b, field.mul(s, a)) for a, b, s in zip(xs, ys, cs)]
     for s in (0, 1, field.q - 1, cs[0]):
         # a scalar factor, as plain int, broadcasts
         assert field.vmul(x, s).tolist() == [field.mul(a, s) for a in xs]
@@ -239,6 +241,42 @@ def test_array_methods_match_scalar_ops(p, d):
     rows = grid.tolist()
     assert field.vsum(grid, 0).tolist() == [total(col) for col in zip(*rows)]
     assert field.vsum(grid, -1).tolist() == [total(row) for row in rows]
-    starts = [0, 4, 9]
-    assert field.vsum(grid, 1, starts).tolist() == [
-        [total(row[a:b]) for a, b in zip(starts, starts[1:] + [15])] for row in rows]
+
+
+@pytest.mark.parametrize("p, d, inner", [
+    (5, 1, (2, 40)), (31, 1, (2, 40)), (2, 3, (2, 12)), (3, 2, (2, 12)), (7, 2, (2, 12)),
+    (2**31 - 1, 1, (2, 7)),
+    # 31 (p - 1)^2 < 2^63 <= 32 (p - 1)^2: one exact int64 product at K = 31,
+    # products reduced before the sum at K = 32
+    (536870923, 1, (31, 32)),
+])
+def test_vmatmul_matches_vsum_of_vmul(p, d, inner):
+    field = kl.build_field(p, d, rng_seed=1)
+    rng = random.Random(p + d)
+    for K in inner:
+        # random residues, and every entry the top residue, which leaves an
+        # int64 sum of K products no room past the threshold
+        for x, y in ((np.array(_array_sample(field, rng, 6 * K)).reshape(2, 3, K),
+                      np.array(_array_sample(field, rng, 4 * K)).reshape(K, 4)),
+                     (np.full((2, 3, K), field.q - 1), np.full((K, 4), field.q - 1))):
+            want = field.vsum(field.vmul(x[:, :, :, None], y[None, None]), 2)
+            assert field.vmatmul(x, y).tolist() == want.tolist()
+            # batch axes broadcast on either side
+            assert field.vmatmul(x[0], y[None]).tolist() == want[:1].tolist()
+    if p == 536870923:
+        assert 31 * (p - 1) ** 2 < 2**63 <= 32 * (p - 1) ** 2
+
+
+@pytest.mark.parametrize("p", [2, 31, 536870923, 1073741789, 2**31 - 1])
+def test_lazy_steps_is_the_int64_headroom(p):
+    # lazy_steps products of two top residues fit onto a top residue, one
+    # more would not; numpy int64 arrays wrap on overflow without a warning
+    field, top = kl.build_field(p), p - 1
+    assert top + field.lazy_steps * top * top < 2**63 <= top + (field.lazy_steps + 1) * top * top
+    if field.lazy_steps <= 64:
+        acc, full = np.full(3, top), np.full(3, top)
+        for _ in range(field.lazy_steps):
+            acc = field.vaxpy_lazy(acc, top, full)
+        exact = top + field.lazy_steps * top * top
+        assert acc.tolist() == [exact] * 3
+        assert field.vreduce(acc).tolist() == [exact % p] * 3

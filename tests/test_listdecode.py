@@ -206,6 +206,28 @@ def test_interpolate_matches_dense_elimination(f8, f9):
         assert got.coeffs == _dense_interpolate(field, pts, params), (field, pts, params)
 
 
+def test_interpolate_reduces_inside_a_point():
+    # just below 2^30 an int64 entry takes 8 unreduced products of residues,
+    # and m = 4 imposes 10 constraints a point, so the lazy reduction of the
+    # rank-1 updates runs in mid-point; int64 overflow would wrap silently
+    field = kl.build_field(1073741789)
+    assert field.lazy_steps == 8
+    rng = random.Random(30)
+    for npts, k, A in ((3, 1, 2), (6, 2, 4), (7, 4, 6), (9, 3, 6)):
+        params = kl.select_params(npts, k, A)
+        assert params.multiplicity == 4
+        for _ in range(2):
+            pts = [(x, field.random_element(rng)) for x in rng.sample(range(field.q), npts)]
+            assert kl.interpolate(field, pts, params).coeffs == _dense_interpolate(field, pts, params)
+    # m = 8 takes 36 constraints a point, past what an int64 holds on average
+    # without the reduction; the dense reference is too slow at this size
+    params = kl.select_params(7, 2, 4)
+    pts = [(x, field.random_element(rng)) for x in rng.sample(range(field.q), 7)]
+    Q = kl.interpolate(field, pts, params)
+    assert not Q.is_zero() and Q.weighted_degree() <= params.weighted_degree_bound
+    assert all(vanishes_to_order(Q, a, b, 8) for a, b in pts)
+
+
 def _reference_y_roots(Q, k, rng):
     """Reference Roth-Ruckenstein recursion on Q's coefficient dict."""
     f = Q.field
