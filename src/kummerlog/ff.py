@@ -213,8 +213,7 @@ class Field:
         else:
             self._vadd_table = None
         self._add_table = None if self._vadd_table is None else self._vadd_table.tolist()
-        # multiplicative structure: find a primitive element and fill exp/log,
-        # multiplying coefficient polynomials over F_p modulo the modulus
+        # multiplicative structure: find a primitive element and fill exp/log
         from .poly import Poly, powmod  # deferred: poly imports this module
 
         prime = Field(p)
@@ -226,26 +225,30 @@ class Field:
                 break
         else:  # pragma: no cover - a primitive element always exists
             raise ReducibleModulus("no primitive element found; modulus is reducible")
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
-        acc = one
-        for i in range(q - 1):
-            x = self._index_of(acc.coeffs)
-            exp[i] = x
-            log[x] = i
-            acc = acc * gen % mod
-        if acc != one:
+        # multiplying by gen is a fixed d x d matrix over F_p (column j is
+        # gen * x^j), so the coefficient vectors of gen^0 .. gen^(q-1) fill
+        # by doubling: each block is gen^B times the B powers before it
+        shifted = [self._index_of((Poly(prime, [0] * j + list(gen.coeffs)) % mod).coeffs)
+                   for j in range(d)]
+        step = self._digits(np.array(shifted, dtype=np.int64)).T
+        powers = np.zeros((d, 1), dtype=np.int64)
+        powers[0, 0] = 1
+        while powers.shape[1] < q:
+            powers = np.hstack([powers, step @ powers[:, :q - powers.shape[1]] % p])
+            step = step @ step % p
+        exp = self._powers_of_p @ powers
+        if exp[q - 1] != 1:
             raise ReducibleModulus("multiplicative group has wrong order; modulus is reducible")
-        for i in range(q - 1):
-            exp[q - 1 + i] = exp[i]
-        self._exp = exp
-        self._log = log
+        log = np.zeros(q, dtype=np.int64)
+        log[exp[:q - 1]] = np.arange(q - 1)
+        self._exp = exp[:q - 1].tolist() * 2
+        self._log = log.tolist()
         # array copies: log(0) is a sentinel past any sum of two logs, and
         # every index from it on reads the zero tail of exp
-        zero_log = len(exp)
-        self._vlog = np.array(log, dtype=np.int64)
+        zero_log = len(self._exp)
+        self._vlog = log
         self._vlog[0] = zero_log
-        self._vexp = np.array(exp + [0] * (zero_log + 1), dtype=np.int64)
+        self._vexp = np.array(self._exp + [0] * (zero_log + 1), dtype=np.int64)
 
     # -- element arithmetic ---------------------------------------------------
 

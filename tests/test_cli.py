@@ -354,14 +354,7 @@ def test_selftest_corrupt_hook_names_criterion(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert any("FAIL criterion 4" in line for line in out.splitlines())
-
-
-def test_selftest_reports_known_failures_only(capsys):
-    # every criterion states a claim the implementation meets, so no FAIL line
-    # is expected; a real fault is reported as in the corrupt-hook test above
-    code = main(["selftest"])
-    out = capsys.readouterr().out
-    failed = [ln for ln in out.splitlines() if ln.startswith("FAIL criterion")]
-    assert failed == []
-    assert sum(ln.startswith("PASS criterion") for ln in out.splitlines()) == 10
-    assert code == 0
+    # a mistyped hook is refused, not run as a green selftest
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--corrupt", "countng"])
+    assert exc.value.code == 2

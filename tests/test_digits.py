@@ -52,16 +52,6 @@ def test_count_total_is_q_pow_n():
             assert sum(kl.count_N(w, n, q) for w in range(n * (q - 1) + 1)) == q ** n
 
 
-def test_count_closed_forms_grid():
-    for q in range(2, 14):
-        for n in range(1, 13):
-            for w in range(0, q):
-                assert kl.count_N(w, n, q) == binom(w + n - 1, n - 1)
-            for w in range(q, 2 * q):
-                want = binom(w + n - 1, n - 1) - n * binom(w - q + n - 1, n - 1)
-                assert kl.count_N(w, n, q) == want
-
-
 def test_sample_zero_bound():
     rng = random.Random(1)
     for _ in range(10):

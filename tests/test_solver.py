@@ -53,15 +53,6 @@ def test_points_lie_on_planted_curve(kummer3115):
                 assert t.eval(x) == y
 
 
-def test_solve_bounded_worked_value(kummer54):
-    target = kummer54.element([1, 4, 4, 1])
-    out = kl.solve_bounded(kl.DlpInstance(kummer54, target))
-    assert tuple(out.digits) == (1, 0, 2, 0)
-    assert out.exponent() == 51
-    assert out.method == "direct"
-    assert out.verified
-
-
 def test_solve_bounded_identity(kummer54):
     out = kl.solve_bounded(kl.DlpInstance(kummer54, kummer54.one_element))
     assert tuple(out.digits) == (0, 0, 0, 0)
@@ -107,20 +98,6 @@ def test_read_off_failures_are_one_type(kummer54):
         kl.solve_bounded(kl.DlpInstance(kummer54, kummer54.element([3, 2])))
 
 
-def test_solve_bounded_roundtrip_all_contexts(f5, f7, f31):
-    cases = [kl.build_kummer(f5, 4, 2, 1), kl.build_kummer(f7, 6, 3, 1),
-             kl.build_kummer(f7, 3, 2, 1), kl.build_kummer(f31, 15, 3, 1),
-             kl.build_kummer(kl.build_field(13), 4, 2, 1),
-             kl.build_kummer(kl.build_field(2, 3, rng_seed=1), 7, 2, 1)]
-    rng = random.Random(22)
-    for ctx in cases:
-        n, q = ctx.degree, ctx.base.q
-        for _ in range(30):
-            e = kl.sample_bounded_sum(n, q, n, rng)
-            out = kl.solve_bounded(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)), rng)
-            assert tuple(out.digits) == tuple(e)
-
-
 def test_solve_bounded_artin_schreier(as5, as7):
     rng = random.Random(23)
     for ctx in (as5, as7, kl.build_artin_schreier(11, 1, 0)):
@@ -129,16 +106,6 @@ def test_solve_bounded_artin_schreier(as5, as7):
             e = kl.sample_bounded_sum(p, p, p - 1, rng)
             out = kl.solve_bounded(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)), rng)
             assert tuple(out.digits) == tuple(e)
-
-
-def test_uniqueness_small(kummer54):
-    seen = {}
-    vecs = [v for v in _all_vectors(4, 5) if sum(v) <= 4]
-    assert len(vecs) == 70
-    for v in vecs:
-        key = kl.encode_digits(kummer54, kl.ExponentDigits(5, v)).key()
-        assert key not in seen
-        seen[key] = v
 
 
 def _all_vectors(n, q):
