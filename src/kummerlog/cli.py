@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate an instance and its secret exponent")
     add_context_flags(g)
     g.add_argument("--sum-bound", type=int, default=None,
-                   help="digit-sum bound for the sampled exponent (default: degree)")
+                   help="digit-sum bound for the sampled exponent (default: degree; "
+                        "--strategy direct solves sums up to p - 1 for artin_schreier)")
     g.add_argument("--min-nonzero", type=int, default=0,
                    help="resample until at least this many digits are nonzero")
     g.add_argument("--out", required=True)

@@ -116,7 +116,7 @@ def select_params(n_points: int, k: int, A: int) -> DecodeParams:
         count = (j_cap + 1) * (D + 1) - k * j_cap * (j_cap + 1) // 2
         if count > constraints:
             return DecodeParams(n_points, k, A, m, D, j_cap)
-    raise NoSolution("no workable multiplicity below the cap")  # pragma: no cover
+    raise NoSolution("no workable multiplicity below the cap")
 
 
 class BivariatePoly:

@@ -1,11 +1,13 @@
 """Dense univariate polynomial arithmetic, root finding and factorization over F_q.
 
 Coefficients are stored low to high with no trailing zeros (the zero
-polynomial has an empty coefficient tuple).  Roots come first: the linear
+polynomial has an empty coefficient tuple).  One long division, `_divide`,
+is behind `divrem`, `//`, `%` and `gcd`.  Roots come first: the linear
 part of a monic f (its roots with multiplicities, and the cofactor with no
-root) is found by synthetic division by x - r.  The candidates r are every
-element of F_q while q <= 12*log2(q)*deg f (and q <= ff.ENUM_LIMIT), else
-the roots of gcd(f, x^q - x) split at degree 1; `_by_evaluation` gives the
+root) is found by synthetic division by x - r (`_divide_linear`, also
+`eval`).  The candidates r are every element of F_q while
+q <= 12*log2(q)*deg f (and q <= ff.ENUM_LIMIT), else the roots of
+gcd(f, x^q - x) split at degree 1; `_by_evaluation` gives the
 measured crossover behind the 12.  `roots` stops there.  `factor` runs the
 classic chain on the cofactor only: squarefree decomposition (with p-th
 root extraction in positive characteristic), distinct-degree splitting,
@@ -22,8 +24,8 @@ anything exposing the small field protocol of `ff.Field`
 (zero/one/add/sub/mul/neg/inv/pow_/random_element/sort_key, and elements()
 where q is small): the embedding runs `roots` over `extfield._ExtFieldView`.
 `factor` and `is_irreducible` take a polynomial over an `ff.Field`, whose
-array methods (`vmul`, `vsum`) build and apply the rows.  Prime fields get
-inlined mod-p loops in the hot operations.
+`vmatmul` builds and applies the rows.  Prime fields get inlined mod-p loops
+in the hot operations.
 """
 
 from __future__ import annotations
@@ -178,66 +180,26 @@ class Poly:
         return Poly(f, out)
 
     def mul_scalar(self, c):
-        f = self.field
-        if c == f.zero:
-            return Poly(f, ())
-        mul = f.mul
-        return Poly(f, [mul(a, c) for a in self.coeffs])
+        mul = self.field.mul
+        return Poly(self.field, [mul(a, c) for a in self.coeffs])
 
     def divrem(self, other) -> tuple["Poly", "Poly"]:
         """Quotient and remainder; deg(rem) < deg(other)."""
-        f = self.field
-        if other.is_zero():
-            raise DivisionByZeroPoly("polynomial division by zero")
-        dn, dd = self.degree, other.degree
-        if dn < dd:
-            return Poly(f, ()), self
         rem = list(self.coeffs)
-        den = other.coeffs
-        if isinstance(f, ff.Field) and f.d == 1:
-            p = f.p
-            inv_lc = pow(den[-1], p - 2, p)
-            quot = [0] * (dn - dd + 1)
-            for i in range(dn - dd, -1, -1):
-                c = rem[i + dd]
-                if c:
-                    c = (c * inv_lc) % p
-                    quot[i] = c
-                    for j in range(dd + 1):
-                        rem[i + j] = (rem[i + j] - c * den[j]) % p
-        else:
-            sub, mul = f.sub, f.mul
-            inv_lc = f.inv(den[-1])
-            quot = [f.zero] * (dn - dd + 1)
-            for i in range(dn - dd, -1, -1):
-                c = rem[i + dd]
-                if c != f.zero:
-                    c = mul(c, inv_lc)
-                    quot[i] = c
-                    for j in range(dd + 1):
-                        rem[i + j] = sub(rem[i + j], mul(c, den[j]))
-        return Poly(f, quot), Poly(f, rem[:dd])
+        quot = _divide(rem, other.coeffs, self.field)
+        return Poly(self.field, quot), Poly(self.field, rem)
 
     def __floordiv__(self, other):
         return self.divrem(other)[0]
 
     def __mod__(self, other):
-        return self.divrem(other)[1]
+        rem = list(self.coeffs)
+        _divide(rem, other.coeffs, self.field)
+        return Poly(self.field, rem)
 
     def eval(self, a):
-        """Value at a, by Horner's rule."""
-        f = self.field
-        if isinstance(f, ff.Field) and f.d == 1:
-            p = f.p
-            r = 0
-            for c in reversed(self.coeffs):
-                r = (r * a + c) % p
-            return r
-        add, mul = f.add, f.mul
-        r = f.zero
-        for c in reversed(self.coeffs):
-            r = add(mul(r, a), c)
-        return r
+        """Value at a, by Horner's rule: the remainder of division by x - a."""
+        return _divide_linear(self.coeffs, a, self.field)[1]
 
     def derivative(self) -> "Poly":
         f = self.field
@@ -256,36 +218,53 @@ class Poly:
         return lc, self.mul_scalar(self.field.inv(lc))
 
 
+def _divide(a: list, den, field) -> list:
+    """Long division of the coefficient list a (low to high) by den: returns
+    the quotient and cuts a in place to the remainder, trailing zeros kept.
+    Each step visits only den's nonzero lower terms, so a sparse divisor
+    such as x^n - c costs one product per quotient coefficient."""
+    if not den:
+        raise DivisionByZeroPoly("polynomial division by zero")
+    zero = field.zero
+    dd = len(den) - 1
+    lower = [(j, c) for j, c in enumerate(den[:dd]) if c != zero]
+    quot = [zero] * (len(a) - dd)
+    if isinstance(field, ff.Field) and field.d == 1:
+        p = field.p
+        inv_lc = pow(den[-1], p - 2, p)
+        for i in range(len(a) - 1 - dd, -1, -1):
+            c = a[i + dd]
+            if c:
+                c = c * inv_lc % p
+                quot[i] = c
+                for j, v in lower:
+                    a[i + j] = (a[i + j] - c * v) % p
+    else:
+        sub, mul = field.sub, field.mul
+        inv_lc = field.inv(den[-1])
+        for i in range(len(a) - 1 - dd, -1, -1):
+            c = a[i + dd]
+            if c != zero:
+                c = mul(c, inv_lc)
+                quot[i] = c
+                for j, v in lower:
+                    a[i + j] = sub(a[i + j], mul(c, v))
+    del a[dd:]
+    return quot
+
+
 def gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor (zero if both inputs are zero).
 
     Euclid on coefficient lists, keeping only remainders: each step reduces
-    a by b in place, cuts a below deg(b) and strips its trailing zeros, and
-    swaps.  No quotient and no intermediate `Poly` is built.
+    a by b in place (`_divide`), strips its trailing zeros, and swaps.  No
+    intermediate `Poly` is built.
     """
     field = f.field
     zero = field.zero
     a, b = list(f.coeffs), list(g.coeffs)
-    p = field.p if isinstance(field, ff.Field) and field.d == 1 else None
     while b:
-        db = len(b) - 1
-        low = b[:db]
-        if p is not None:
-            inv_lc = pow(b[-1], p - 2, p)
-            for i in range(len(a) - 1 - db, -1, -1):
-                c = a[i + db]
-                if c:
-                    c = c * inv_lc % p
-                    a[i:i + db] = [(u - c * v) % p for u, v in zip(a[i:i + db], low)]
-        else:
-            sub, mul = field.sub, field.mul
-            inv_lc = field.inv(b[-1])
-            for i in range(len(a) - 1 - db, -1, -1):
-                c = a[i + db]
-                if c != zero:
-                    c = mul(c, inv_lc)
-                    a[i:i + db] = [sub(u, mul(c, v)) for u, v in zip(a[i:i + db], low)]
-        del a[db:]
+        _divide(a, b, field)
         while a and a[-1] == zero:
             a.pop()
         a, b = b, a
@@ -303,11 +282,8 @@ def ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lc = r0.lc()
-    if lc != field.one:
-        s = field.inv(lc)
+    if r0 and r0.lc() != field.one:
+        s = field.inv(r0.lc())
         r0, u0, v0 = r0.mul_scalar(s), u0.mul_scalar(s), v0.mul_scalar(s)
     return r0, u0, v0
 
@@ -349,35 +325,31 @@ def _frobenius_rows(f: Poly) -> np.ndarray:
     comp = np.zeros((n, n), dtype=np.int64)
     comp[:-1, 1:] = np.eye(n - 1, dtype=np.int64)
     comp[-1] = [field.neg(c) for c in f.coeffs[:-1]]
-
-    def matmul(a, b):
-        # each product is reduced before the sum: a plain a @ b % p overflows
-        # int64 for p near 2^31; blocks of rows keep the (rows, n, n)
-        # broadcast product below ROWS_BLOCK entries at any degree
-        step = max(1, ROWS_BLOCK // (n * n))
-        return np.concatenate([field.vsum(field.vmul(a[i:i + step, :, None], b), axis=1)
-                               for i in range(0, n, step)])
-
-    power = None
-    e = field.q
-    while e:
-        if e & 1:
-            power = comp if power is None else matmul(power, comp)
-        e >>= 1
-        if e:
-            comp = matmul(comp, comp)
+    power = comp
+    for bit in bin(field.q)[3:]:
+        power = _matmul(field, power, power)
+        if bit == "1":
+            power = _matmul(field, power, comp)
     rows = np.zeros((n, n), dtype=np.int64)
     rows[0, 0] = field.one
     for i in range(1, n):
-        rows[i] = field.vsum(field.vmul(rows[i - 1, :, None], power), axis=0)
+        rows[i] = field.vmatmul(rows[i - 1:i], power)[0]
     return rows
+
+
+def _matmul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b by `ff.Field.vmatmul` in blocks of rows of a: where it reduces
+    each product before the sum (extension fields, p near 2^31), the blocks
+    keep that (rows, n, n) product below ROWS_BLOCK entries at any degree."""
+    step = max(1, ROWS_BLOCK // b.size)
+    return np.concatenate([field.vmatmul(a[i:i + step], b) for i in range(0, len(a), step)])
 
 
 def _frobenius(h: Poly, rows: np.ndarray) -> Poly:
     """h^q mod f for h of degree < n, given f's Frobenius rows (n, n)."""
     field = h.field
-    c = np.array(h.coeffs, dtype=np.int64)
-    return Poly(field, field.vsum(field.vmul(c[:, None], rows[:len(c)]), axis=0).tolist())
+    c = np.array([h.coeffs], dtype=np.int64)
+    return Poly(field, field.vmatmul(c, rows[:len(h.coeffs)])[0].tolist())
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -396,10 +368,8 @@ def is_irreducible(f: Poly) -> bool:
     x = Poly.x(field)
     rows = _frobenius_rows(f)
     frob = [x % f]
-    h = frob[0]
     for _ in range(n):
-        h = _frobenius(h, rows)
-        frob.append(h)
+        frob.append(_frobenius(frob[-1], rows))
     if frob[n] != x % f:
         return False
     for r in set(ff.factorize(n)):
@@ -531,7 +501,7 @@ def _divide_linear(coeffs, r, field) -> tuple[list, object]:
         for c in reversed(coeffs):
             acc = add(mul(acc, r), c)
             out.append(acc)
-    rem = out.pop()
+    rem = out.pop() if out else acc  # the zero polynomial is 0 everywhere
     out.reverse()
     return out, rem
 

@@ -69,7 +69,6 @@ class SolveOutcome:
     """Recovered digits plus the strategy that produced them; always verified."""
 
     __slots__ = ("digits", "method")
-    verified = True  # every path builds an outcome through `_verified`
 
     def __init__(self, digits: ExponentDigits, method: str):
         self.digits = digits
@@ -178,10 +177,13 @@ def _read_off(inst: DlpInstance, rng: random.Random, relaxed: bool) -> SolveOutc
 
 
 def solve_bounded(inst: DlpInstance, rng: random.Random | None = None) -> SolveOutcome:
-    """Recover e when its digit sum is at most the extension degree.
+    """Recover e when its digit sum is at most the extension degree n, or
+    p - 1 on an Artin-Schreier context (whose degree is p).
 
-    Tries the representative polynomial directly, then the boundary
-    correction; the returned digit vector is unique among digit sums <= n.
+    Tries the representative polynomial directly, then the Kummer boundary
+    correction; the returned digit vector is unique in that range.  At sum p
+    it is not (with a = 1 the all-ones vector encodes 1), so the
+    Artin-Schreier candidate for sum p runs only in the relaxed solvers.
     """
     rng = rng if rng is not None else random.Random(0xD1007)
     return _read_off(inst, rng, relaxed=False)

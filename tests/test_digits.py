@@ -44,6 +44,10 @@ def test_count_examples():
     # N(5,4,5) = C(8,3) - 4*C(3,3) = 52, cross-checked by 625-case enumeration
     brute = sum(1 for v in itertools.product(range(5), repeat=4) if sum(v) == 5)
     assert brute == 52 == kl.count_N(5, 4, 5) == binom(8, 3) - 4 * binom(3, 3)
+    # either argument negative is rejected, not only both
+    for w, n in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            kl.count_N(w, n, 5)
 
 
 def test_count_total_is_q_pow_n():

@@ -26,6 +26,10 @@ def test_select_params_examples():
     with pytest.raises(ld.AgreementTooSmall):
         kl.select_params(15, 4, 7)  # 49 < 60
 
+    # A^2 = kn + 1 needs m > kn = 624, past the multiplicity cap
+    with pytest.raises(ld.NoSolution):
+        kl.select_params(156, 4, 25)
+
 
 def test_select_params_invariant():
     rng = random.Random(9)

@@ -124,6 +124,12 @@ def test_meet_in_middle_slack_violation(f7):
     y = kl.encode_digits(ctx, e)
     with pytest.raises(oracle.NotFound):
         kl.meet_in_middle_binary(ctx.generator, y, 6, 3)
+    # at w = 4 the slack is centred on w // 2: every split of four 1s over
+    # the two halves of 3 (left weight 1 to 3) is found
+    for pos in itertools.combinations(range(6), 4):
+        e = kl.ExponentDigits(7, tuple(1 if i in pos else 0 for i in range(6)))
+        y = kl.encode_digits(ctx, e)
+        assert kl.meet_in_middle_binary(ctx.generator, y, 6, 4) == e.to_int()
 
 
 def test_meet_in_middle_wrong_weight(kummer54):

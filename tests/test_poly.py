@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import kummerlog as kl
@@ -29,18 +31,51 @@ def test_eval_example(f5):
     assert f.eval(4) == 0
 
 
-def test_divrem(f5):
+def test_divrem(f5, f9, f8):
+    # dense divisors of every degree from 0 (constants) with any leading
+    # coefficient, the sparse x^n - a and x^p - x - a, and dividends both
+    # shorter and longer than the divisor
     rng = random.Random(3)
-    for _ in range(50):
-        f = Poly(f5, [rng.randrange(5) for _ in range(rng.randrange(0, 9))])
-        g = Poly(f5, [rng.randrange(5) for _ in range(rng.randrange(1, 6))])
-        if g.is_zero():
-            continue
-        q, r = f.divrem(g)
-        assert q * g + r == f
-        assert r.degree < g.degree
-    with pytest.raises(DivisionByZeroPoly):
-        P(f5, 1).divrem(Poly.zero(f5))
+    for field in (f5, f9, f8, kl.build_field(2**31 - 1)):
+        x = Poly.x(field)
+        divisors = []
+        for _ in range(20):
+            a = Poly.constant(field, field.random_element(rng))
+            dense = [field.random_element(rng) for _ in range(rng.randrange(6))]
+            divisors.append(Poly(field, dense + [field.random_nonzero(rng)]))
+            divisors.append(Poly.monomial(field, rng.randrange(1, 9)) - a)
+            if field.p < 10:
+                divisors.append(Poly.monomial(field, field.p) - x - a)
+        for g in divisors:
+            f = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(13))])
+            q, r = f.divrem(g)
+            assert q * g + r == f
+            assert r.degree < g.degree
+            assert (f // g, f % g) == (q, r)
+    for op in (Poly.divrem, Poly.__floordiv__, Poly.__mod__):
+        with pytest.raises(DivisionByZeroPoly):
+            op(P(f5, 1), Poly.zero(f5))
+
+
+def test_gcd_and_eval_match_sympy():
+    # an independent oracle: sympy's gcd and evaluation over GF(p)
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    for p in (2, 31, 2**31 - 1):
+        field = kl.build_field(p)
+
+        def rand(deg):
+            return Poly(field, [rng.randrange(p) for _ in range(deg + 1)])
+
+        for _ in range(30):
+            common = rand(rng.randrange(-1, 4))
+            f, g = common * rand(rng.randrange(-1, 6)), common * rand(rng.randrange(-1, 6))
+            want = _to_sympy(f, sp)
+            if f or g:
+                want = sp.gcd(want, _to_sympy(g, sp)).monic()
+            assert kl.gcd(f, g) == Poly(field, [int(c) % p for c in reversed(want.all_coeffs())])
+            a = rng.randrange(p)
+            assert f.eval(a) == int(_to_sympy(f, sp).eval(a)) % p
 
 
 def test_powmod_examples(f5):
@@ -228,10 +263,15 @@ def test_factor_zero_rejected(f5):
         kl.factor(Poly.zero(f5))
 
 
+def _to_sympy(f, sp):
+    """f as a sympy polynomial over GF(p)."""
+    return sp.Poly(list(reversed(f.coeffs)) or [0], sp.Symbol("x"), modulus=f.field.p)
+
+
 def _sympy_factors(f, sp):
     """(lc, {monic factor coeffs low to high: multiplicity}) from sympy over GF(p)."""
     p = f.field.p
-    lc, facs = sp.Poly(list(reversed(f.coeffs)), sp.Symbol("x"), modulus=p).factor_list()
+    lc, facs = _to_sympy(f, sp).factor_list()
     return int(lc) % p, {tuple(int(c) % p for c in reversed(g.all_coeffs())): e
                          for g, e in facs}
 
@@ -280,6 +320,11 @@ def test_frobenius_rows_match_powmod(monkeypatch, f5, f31, f9, f8):
     # a block bound below n*n splits the matrix products into single rows
     monkeypatch.setattr(poly, "ROWS_BLOCK", 1)
     for field in (f31, f9, big):
+        a = [[field.random_element(rng) for _ in range(7)] for _ in range(5)]
+        b = [[field.random_element(rng) for _ in range(3)] for _ in range(7)]
+        want = [[functools.reduce(field.add, (field.mul(a[i][k], b[k][j]) for k in range(7)))
+                 for j in range(3)] for i in range(5)]
+        assert poly._matmul(field, np.array(a), np.array(b)).tolist() == want
         f = Poly(field, [field.random_element(rng) for _ in range(7)] + [field.one])
         rows = poly._frobenius_rows(f)
         assert [Poly(field, r.tolist()) for r in rows] == [
