@@ -7,7 +7,6 @@ for Kummer and (1, b + i*a) for Artin-Schreier.  A kind supplies its modulus,
 h and the offsets b_i; one context body derives the rest once, and the
 discrete-log machinery is written a single time against it:
 
-    frobenius_element(i)   the i-th conjugate of g, by table lookup
     root_index             constant d -> index i of the monic conjugate
                            factor x + d
     expected_lc(digits)    leading coefficient of the conjugate product
@@ -15,6 +14,9 @@ discrete-log machinery is written a single time against it:
                            constant value of the modulus on them
     generator_order        ord(g) and its prime factors, for the generic
                            fallback; q^n - 1 is factored on first use only
+
+`frobenius_power(ctx, i)` alone builds the i-th conjugate from the table;
+`pow_int` and `ext_pow` are the generic `ff.power`, which never consults it.
 
 Contexts are immutable once constructed and safe to share across threads;
 all operations are pure.
@@ -119,21 +121,10 @@ class ExtElement:
         return ExtElement(self.ctx, u % self.ctx.modulus)
 
     def pow_int(self, e: int) -> "ExtElement":
-        if e < 0:
-            raise ValueError("negative exponent; use inv explicitly")
-        if e == 0:
-            if self.is_zero():
-                raise ff.ZeroToZero("0^0 is undefined here")
-            return self.ctx.one_element
-        result = self.ctx.one_element
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        """self^e for an int e >= 0 by `ff.power`; 0^0 raises ZeroToZero."""
+        if e == 0 and self.is_zero():
+            raise ff.ZeroToZero("0^0 is undefined here")
+        return ff.power(self, e, self.ctx.one_element, ExtElement.__mul__)
 
 
 class _ContextBase:
@@ -167,7 +158,7 @@ class _ContextBase:
         self.zero_element = ExtElement(self, Poly.zero(base))
         self.one_element = ExtElement(self, Poly.one(base))
         self.alpha = ExtElement(self, Poly.x(base))
-        self.generator = self.frobenius_element(0)
+        self.generator = frobenius_power(self, 0)
 
     @functools.cached_property
     def generator_order(self) -> tuple[int, tuple[int, ...]]:
@@ -204,10 +195,6 @@ class _ContextBase:
 
     def constant(self, c) -> ExtElement:
         return ExtElement(self, Poly.constant(self.base, self.base.validate(c)))
-
-    def frobenius_element(self, i: int) -> ExtElement:
-        """g^(q^i) = h^i * alpha + b_i, straight from the conjugate table."""
-        return ExtElement(self, Poly(self.base, [self.conj_offsets[i], self.conj_table[i]]))
 
     def expected_lc(self, digits):
         """Leading coefficient h^(sum i*e_i) of the conjugate-factor product."""
@@ -286,10 +273,10 @@ def build_artin_schreier(p: int, a: int, b: int) -> ASContext:
 
 
 def frobenius_power(ctx, i: int) -> ExtElement:
-    """The relation-table element g^(charpower^i); no exponentiation performed."""
+    """g^(q^i) = h^i * alpha + b_i from the conjugate table, with no exponentiation."""
     if not 0 <= i < ctx.degree:
         raise IndexOutOfRange(f"conjugate index {i} outside [0, {ctx.degree})")
-    return ctx.frobenius_element(i)
+    return ExtElement(ctx, Poly(ctx.base, [ctx.conj_offsets[i], ctx.conj_table[i]]))
 
 
 def ext_pow(u: ExtElement, e) -> ExtElement:
@@ -310,7 +297,7 @@ def encode_digits(ctx, digits: ExponentDigits) -> ExtElement:
     acc = ctx.one_element
     for i, e_i in enumerate(digits):
         if e_i:
-            acc = acc * ctx.frobenius_element(i).pow_int(e_i)
+            acc = acc * frobenius_power(ctx, i).pow_int(e_i)
     return acc
 
 
@@ -339,9 +326,6 @@ class _ExtFieldView:
 
     def inv(self, x):
         return x.inv()
-
-    def pow_(self, x, e):
-        return ext_pow(x, e)
 
     def embed_int(self, c: int):
         return self.ctx.constant(self.ctx.base.embed_int(c))

@@ -18,7 +18,8 @@ field may also leave sums unreduced while int64 has room for them
 (`vaxpy_lazy`, `lazy_steps`, `vreduce`).
 
 The package's integer number theory lives here too, once: the primality
-test and the factorization behind q - 1, n and q^n - 1.
+test and the factorization behind q - 1, n and q^n - 1, and the one
+square-and-multiply loop, `power`, which takes the identity and the product.
 """
 
 from __future__ import annotations
@@ -146,6 +147,24 @@ def factorize(m: int, rng: random.Random | None = None) -> list[int]:
         d = _pollard_brent(v, rng)
         stack.extend((d, v // d))
     return sorted(out)
+
+
+def power(x, e, one, mul):
+    """x^e by square-and-multiply, for e a nonnegative int or a digit vector
+    (taken as its integer value); `one` is returned for e = 0, so a caller
+    that rejects 0^0 checks before calling."""
+    if not isinstance(e, int):
+        e = e.to_int()
+    if e < 0:
+        raise ValueError("negative exponent; use inv explicitly")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
 
 
 class Field:
@@ -289,11 +308,9 @@ class Field:
             e = e.to_int()
         if e < 0:
             raise ValueError("negative exponent; use inv explicitly")
-        if e == 0:
-            if x == 0:
-                raise ZeroToZero("0^0 is undefined here")
-            return self.one
         if x == 0:
+            if e == 0:
+                raise ZeroToZero("0^0 is undefined here")
             return 0
         if self.d == 1:
             return pow(x, e, self.p)

@@ -5,6 +5,9 @@ Pohlig-Hellman over a factored group order), exact element order via
 prime-power stripping, exhaustive bounded-digit search, and a simplified
 half-split meet-in-the-middle for 0/1-digit exponents.  None of these use
 the conjugate-table shortcut; that is the point.
+
+The group engines need of g only `*`, `inv`, `pow_int`, `==` and a hash; the
+identity is g^0, so a zero g (no group element) raises `ff.ZeroToZero` at once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from collections.abc import Sequence
 
 from . import digits as _digits
-from .ff import Field, factorize, is_prime as _is_probable_prime
+from .ff import factorize, is_prime as _is_probable_prime
 
 
 class NotInSubgroup(ValueError):
@@ -54,41 +57,6 @@ class GroupBudget:
         self.max_order = max_order
 
 
-class FieldUnit:
-    """A unit of F_q^* wrapped with group operations, for the generic engines."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        self.field = field
-        self.value = field.validate(value)
-
-    def __mul__(self, other):
-        return FieldUnit(self.field, self.field.mul(self.value, other.value))
-
-    def inv(self):
-        return FieldUnit(self.field, self.field.inv(self.value))
-
-    def pow_int(self, e: int):
-        return FieldUnit(self.field, self.field.pow_(self.value, e))
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldUnit) and self.field == other.field
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"FieldUnit({self.value} in {self.field!r})"
-
-
-def _identity_like(g):
-    if isinstance(g, FieldUnit):
-        return FieldUnit(g.field, g.field.one)
-    return g.ctx.one_element
-
-
 # group orders from here on are never factored: Pollard-Brent has no time bound
 FACTOR_GUARD = 1 << 80
 
@@ -102,7 +70,7 @@ def _bsgs(g, y, order_bound: int, budget: GroupBudget) -> int:
     m = math.isqrt(order_bound - 1) + 1
     if m > budget.max_baby_steps:
         raise BudgetExceeded(f"{m} baby steps exceed budget {budget.max_baby_steps}")
-    identity = _identity_like(g)
+    identity = g.pow_int(0)
     table = {}
     cur = identity
     for j in range(m):
@@ -144,7 +112,7 @@ def _pohlig_hellman(g, y, group_order: int, factorization: Sequence[int],
     if steps > budget.max_baby_steps:
         raise BudgetExceeded(f"{steps} baby steps exceed budget {budget.max_baby_steps} "
                              f"in the subgroup of prime order {max(powers)}")
-    identity = _identity_like(g)
+    identity = g.pow_int(0)
     x, modulus = 0, 1
     for r, k in sorted(powers.items()):
         cofactor = group_order // r ** k
@@ -200,7 +168,7 @@ def bsgs_dlp(g, y, order_bound: int, budget: GroupBudget | None = None,
 def element_order(g, group_order: int, factorization: list[int]) -> int:
     """Exact multiplicative order of g, given the factored group order."""
     _check_factorization(group_order, factorization)
-    identity = _identity_like(g)
+    identity = g.pow_int(0)
     if g.pow_int(group_order) != identity:
         raise BadFactorization("g^group_order != 1; wrong group order")
     o = group_order
@@ -238,7 +206,7 @@ def exhaustive_dlp_bounded(ctx, target, s_max: int, budget: int = 10**7) -> list
     table = _digits.count_table(n, q, s_max)
     if table.cumulative(s_max, n) > budget:
         raise BudgetExceeded(f"{table.cumulative(s_max, n)} vectors exceed budget {budget}")
-    conj = [ctx.frobenius_element(i) for i in range(n)]
+    conj = [ctx.generator.pow_int(q ** i) for i in range(n)]  # no table shortcut
     found = []
     prefix = [0] * n
 
@@ -266,7 +234,7 @@ def meet_in_middle_binary(g, y, n: int, w: int) -> int:
     halves and only left weights within +-1 of floor(w/2) are enumerated, so
     exponents whose 1s are very unevenly split raise NotFound.
     """
-    identity = _identity_like(g)
+    identity = g.pow_int(0)
     if w == 0:
         if y == identity:
             return 0

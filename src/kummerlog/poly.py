@@ -21,11 +21,11 @@ then one row combination instead of a power mod f.
 
 The coefficient domain of the arithmetic, `roots` and the linear part is
 anything exposing the small field protocol of `ff.Field`
-(zero/one/add/sub/mul/neg/inv/pow_/random_element/sort_key, and elements()
+(zero/one/add/sub/mul/neg/inv/random_element/sort_key, and elements()
 where q is small): the embedding runs `roots` over `extfield._ExtFieldView`.
 `factor` and `is_irreducible` take a polynomial over an `ff.Field`, whose
-`vmatmul` builds and applies the rows.  Prime fields get inlined mod-p loops
-in the hot operations.
+`vmatmul` builds and applies the rows and whose `pow_` takes p-th roots.
+Prime fields get inlined mod-p loops in the hot operations.
 """
 
 from __future__ import annotations
@@ -289,24 +289,11 @@ def ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def powmod(f: Poly, e, m: Poly) -> Poly:
-    """f^e mod m by square-and-multiply, with e a nonnegative int or a digit
-    vector (taken as its integer value)."""
+    """f^e mod m by `ff.power`, with e a nonnegative int or a digit vector
+    (taken as its integer value); f^0 = 1 for every f, zero included."""
     if m.degree < 1:
         raise DivisionByZeroPoly("modulus must have degree >= 1")
-    field = f.field
-    if not isinstance(e, int):
-        e = e.to_int()
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = Poly.one(field)
-    base = f % m
-    while e:
-        if e & 1:
-            result = (result * base) % m
-        e >>= 1
-        if e:
-            base = (base * base) % m
-    return result
+    return ff.power(f % m, e, Poly.one(f.field), lambda a, b: a * b % m)
 
 
 def _frobenius_rows(f: Poly) -> np.ndarray:

@@ -157,6 +157,25 @@ def test_solve_direct_fails_on_relaxed_instance(tmp_path):
     assert main(["solve", "--in", str(inst), "--strategy", "direct"]) == 5
 
 
+@pytest.mark.parametrize("seed", [1, 3])
+def test_gen_solve_json_over_f25(tmp_path, capsys, seed):
+    # d = 2 writes base_modulus, which solve reads back to rebuild F_25
+    inst, sec = tmp_path / "i.json", tmp_path / "s.json"
+    assert main(["gen", "--p", "5", "--d", "2", "--n", "8", "--a", "6", "--b", "1",
+                 "--seed", str(seed), "--out", str(inst), "--secret-out", str(sec)]) == 0
+    assert "base_modulus" in json.loads(inst.read_text())
+    digits = json.loads(sec.read_text())["digits"]
+    if seed == 1:
+        assert digits == [0, 1, 4, 1, 0, 0, 0, 1]
+    capsys.readouterr()
+    for strategy in ("direct", "list", "auto"):
+        assert main(["solve", "--in", str(inst), "--secret-in", str(sec),
+                     "--strategy", strategy, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["match"] is True
+        assert rep["digits"] == digits
+
+
 def test_solve_secret_mismatch_exit4(tmp_path):
     inst = tmp_path / "i.json"
     sec = tmp_path / "s.json"
@@ -175,7 +194,10 @@ def test_solve_secret_mismatch_exit4(tmp_path):
     lambda doc: dict(doc, n="15"),
     lambda doc: [doc],
     lambda doc: dict(doc, d=0),
-], ids=["target_int", "float_coeff", "n_str", "top_level_list", "d_zero"])
+    lambda doc: dict(doc, kind="edwards"),
+    lambda doc: dict(doc, target=[[1]] * 16),
+], ids=["target_int", "float_coeff", "n_str", "top_level_list", "d_zero", "unknown_kind",
+        "target_too_long"])
 def test_solve_malformed_instance_exit2(tmp_path, capsys, edit):
     inst = tmp_path / "i.json"
     assert main(["gen", "--kind", "kummer", "--p", "31", "--n", "15", "--a", "3",
@@ -335,6 +357,18 @@ def test_bench_small_suite(tmp_path):
     assert int(by_key[("bsgs_dlp", "5")][5]) == 3
     assert int(by_key[("meet_in_middle_binary", "5")][5]) == 3
     assert int(by_key[("solve_listdecode", "31")][5]) == 3
+
+
+def test_bench_medium_suite(tmp_path):
+    csv = tmp_path / "bench.csv"
+    assert main(["bench", "--suite", "medium", "--trials", "1", "--seed", "0",
+                 "--csv", str(csv)]) == 0
+    rows = [ln.split(",") for ln in csv.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 24  # 4 methods x 6 contexts
+    assert len({(r[1], r[2]) for r in rows}) == 6
+    for r in rows:
+        if r[0] in ("solve_bounded", "solve_listdecode"):
+            assert r[5] == "1", r  # one trial, one success
 
 
 def test_bench_propagates_internal_faults(monkeypatch):

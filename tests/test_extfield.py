@@ -231,6 +231,26 @@ def test_embed_minimal_polynomial_of_g(kummer54):
     assert psi(u).is_zero()
 
 
+def test_embed_walks_the_view(monkeypatch):
+    # F_9 = F_3[x]/(x^2 + 1) is small enough that roots walks its 9 elements
+    # through the view rather than splitting gcd(u, y^9 - y)
+    walks = []
+    elements = extfield._ExtFieldView.elements
+    monkeypatch.setattr(extfield._ExtFieldView, "elements",
+                        lambda view: walks.append(view.q) or elements(view))
+    f3 = kl.build_field(3)
+    ctx = kl.build_kummer(f3, 2, 2, 1)
+    u = Poly(f3, [1, 0, 1])  # y^2 + 1
+    rho, psi = kl.embed_from_prime_model(ctx, u, random.Random(9))
+    assert walks == [9]
+    assert psi(u).is_zero()
+    rng = random.Random(10)
+    for _ in range(20):
+        v, w = (Poly(f3, [rng.randrange(3) for _ in range(3)]) for _ in range(2))
+        assert psi(v + w) == psi(v) + psi(w)
+        assert psi(v * w) == psi(v) * psi(w)
+
+
 def test_embed_errors(kummer54):
     rng = random.Random(8)
     prime = kummer54.base

@@ -145,6 +145,34 @@ def test_pow_digit_vector(f5):
         f5.pow_(0, kl.ExponentDigits(5, (0, 0)))
 
 
+def test_power_contract(f5, kummer54):
+    # ff.power is the one square-and-multiply loop behind powmod and pow_int
+    mul5 = lambda a, b: a * b % 5  # noqa: E731
+    m, f = kl.Poly(f5, [3, 0, 0, 0, 1]), kl.Poly(f5, [2, 3, 1])  # mod x^4 - 2
+    g = kummer54.generator
+    e = kl.ExponentDigits(5, (1, 0, 2, 0))  # 51
+    # a digit vector is its integer value
+    assert ff.power(2, e, 1, mul5) == ff.power(2, 51, 1, mul5) == pow(2, 51, 5)
+    assert kl.powmod(f, e, m) == kl.powmod(f, 51, m)
+    assert kl.ext_pow(g, e) == g.pow_int(51) == ff.power(g, e, kummer54.one_element,
+                                                         lambda a, b: a * b)
+    # e = 0 is the identity
+    assert ff.power(3, 0, 1, mul5) == 1
+    assert kl.powmod(f, 0, m) == kl.Poly.one(f5)
+    assert g.pow_int(0) == kummer54.one_element
+    # a negative exponent is refused by the loop and by Field.pow_
+    for call in (lambda: ff.power(2, -1, 1, mul5), lambda: kl.powmod(f, -1, m),
+                 lambda: g.pow_int(-1), lambda: f5.pow_(2, -1)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            call()
+    # 0^0: pow_int and Field.pow_ refuse it, powmod gives 1
+    with pytest.raises(ff.ZeroToZero):
+        kummer54.zero_element.pow_int(0)
+    with pytest.raises(ff.ZeroToZero):
+        f5.pow_(0, 0)
+    assert kl.powmod(kl.Poly.zero(f5), 0, m) == kl.Poly.one(f5)
+
+
 def test_enumerate_examples(f4, f5):
     two = kl.build_field(2)
     assert two.elements() == [0, 1]

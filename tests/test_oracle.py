@@ -5,8 +5,37 @@ import random
 import pytest
 
 import kummerlog as kl
-from kummerlog import oracle
-from kummerlog.oracle import FieldUnit, GroupBudget
+from kummerlog import ff, oracle
+from kummerlog.oracle import GroupBudget
+
+
+class FieldUnit:
+    """A unit of F_q^* wrapped with group operations, for the generic engines."""
+
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: ff.Field, value: int):
+        self.field = field
+        self.value = field.validate(value)
+
+    def __mul__(self, other):
+        return FieldUnit(self.field, self.field.mul(self.value, other.value))
+
+    def inv(self):
+        return FieldUnit(self.field, self.field.inv(self.value))
+
+    def pow_int(self, e: int):
+        return FieldUnit(self.field, self.field.pow_(self.value, e))
+
+    def __eq__(self, other):
+        return (isinstance(other, FieldUnit) and self.field == other.field
+                and self.value == other.value)
+
+    def __hash__(self):
+        return hash((self.field, self.value))
+
+    def __repr__(self):
+        return f"FieldUnit({self.value} in {self.field!r})"
 
 
 def test_bsgs_prime_field_example(f5):
@@ -37,6 +66,20 @@ def test_bsgs_budget(f5):
         kl.bsgs_dlp(FieldUnit(f5, 2), FieldUnit(f5, 3), 100, GroupBudget(max_baby_steps=5))
     with pytest.raises(ValueError):
         GroupBudget(max_baby_steps=10, max_order=1000)
+
+
+def test_engines_refuse_a_zero_g(f5, kummer54):
+    # the identity is g^0, which a zero g (no group element) refuses at once
+    one = kummer54.one_element
+    for g in (FieldUnit(f5, 0), kummer54.zero_element):
+        with pytest.raises(ff.ZeroToZero):
+            kl.bsgs_dlp(g, g, 4)
+        with pytest.raises(ff.ZeroToZero):
+            kl.bsgs_dlp(g, g, 4, None, [2, 2])
+        with pytest.raises(ff.ZeroToZero):
+            kl.element_order(g, 4, [2, 2])
+    with pytest.raises(ff.ZeroToZero):
+        kl.meet_in_middle_binary(kummer54.zero_element, one, 4, 0)
 
 
 def test_element_order_examples(f5, kummer54):

@@ -291,6 +291,22 @@ def test_solve_auto_w_hint_changes_start_only(kummer54):
         assert kl.encode_digits(kummer54, out.digits) == inst.target
 
 
+def test_solve_auto_fallback_first_then_read_off(kummer54):
+    # w_hint 100 > relaxed bound 5 runs the fallback first.  Alpha is not a
+    # power of g, so both strategies fail; with 2 baby steps the fallback is
+    # refused (ord(g) = 312 has the prime 13, which needs 4) and the read-off
+    # still solves
+    assert relaxed_sum_bound(4) == 5
+    with pytest.raises(solver.Unsolvable, match="all strategies failed"):
+        kl.solve_auto(kl.DlpInstance(kummer54, kummer54.alpha), w_hint=100,
+                      rng=random.Random(42))
+    e, inst = _instance(kummer54, (1, 0, 2, 0))
+    out = kl.solve_auto(inst, w_hint=100, rng=random.Random(43),
+                        budget=oracle.GroupBudget(max_baby_steps=2))
+    assert out.method == "direct"
+    assert tuple(out.digits) == tuple(e)
+
+
 def test_solve_auto_always_verifies(kummer54, as5):
     rng = random.Random(31)
     for ctx in (kummer54, as5):
