@@ -232,14 +232,12 @@ def decodable(e: ExponentDigits) -> bool:
     return e.digit_sum() <= n or _reaches(n, e.nonzero_count())
 
 
-def sample_decodable(n: int, q: int, rng: random.Random,
-                     table: DigitCountTable | None = None) -> ExponentDigits:
+def sample_decodable(n: int, q: int, rng: random.Random) -> ExponentDigits:
     """Uniform sample from the vectors with digit sum <= floor(1.32 n) that
     have enough nonzero digits for the decoder, by rejection from
     `sample_bounded_sum`."""
     bound = relaxed_sum_bound(n)
-    if table is None:
-        table = count_table(n, q, bound)
+    table = count_table(n, q, bound)
     while True:
         e = sample_bounded_sum(n, q, bound, rng, table)
         if _reaches(n, e.nonzero_count()):

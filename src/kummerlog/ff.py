@@ -7,7 +7,7 @@ significant.  This keeps every element canonical, hashable and directly
 comparable, and it lets the hot loops in `poly` stay on machine ints.
 
 Extension fields precompute discrete-log tables over a primitive element,
-so mul/inv/pow are O(1) lookups; that is why extension construction is
+so mul and inv are O(1) lookups; that is why extension construction is
 guarded to q <= 2^20.
 
 The `v*` methods apply the same arithmetic to numpy int64 arrays of element
@@ -19,7 +19,8 @@ field may also leave sums unreduced while int64 has room for them
 
 The package's integer number theory lives here too, once: the primality
 test and the factorization behind q - 1, n and q^n - 1, and the one
-square-and-multiply loop, `power`, which takes the identity and the product.
+square-and-multiply loop, `power`, which takes the identity and the product
+(`Field.pow_` is `power` over `Field.mul`).
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def factorize(m: int, rng: random.Random | None = None) -> list[int]:
 def power(x, e, one, mul):
     """x^e by square-and-multiply, for e a nonnegative int or a digit vector
     (taken as its integer value); `one` is returned for e = 0, so a caller
-    that rejects 0^0 checks before calling."""
+    that rejects 0^0 checks before the call, or after it: with x zero, the
+    result is `one` only at e = 0."""
     if not isinstance(e, int):
         e = e.to_int()
     if e < 0:
@@ -205,14 +207,6 @@ class Field:
 
     # -- construction helpers -------------------------------------------------
 
-    def _coeffs_of(self, x: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.d):
-            out.append(x % p)
-            x //= p
-        return out
-
     def _index_of(self, coeffs) -> int:
         x = 0
         for c in reversed(list(coeffs)):
@@ -239,7 +233,7 @@ class Field:
         mod, one = Poly(prime, self.modulus), Poly.one(prime)
         order_factors = set(factorize(q - 1))
         for g in range(2, q):
-            gen = Poly(prime, self._coeffs_of(g))
+            gen = Poly(prime, self.coeffs(g))
             if all(powmod(gen, (q - 1) // r, mod) != one for r in order_factors):
                 break
         else:  # pragma: no cover - a primitive element always exists
@@ -278,7 +272,7 @@ class Field:
             return x ^ y
         if self._add_table is not None:
             return self._add_table[x][y]
-        return self._index_of((a + b) % self.p for a, b in zip(self._coeffs_of(x), self._coeffs_of(y)))
+        return self._index_of((a + b) % self.p for a, b in zip(self.coeffs(x), self.coeffs(y)))
 
     def neg(self, x: int) -> int:
         if self.d == 1:
@@ -303,18 +297,13 @@ class Field:
         return self._exp[(self.q - 1) - self._log[x]]
 
     def pow_(self, x: int, e) -> int:
-        """x^e for e a nonnegative int or a digit vector (taken as its integer value)."""
-        if not isinstance(e, int):
-            e = e.to_int()
-        if e < 0:
-            raise ValueError("negative exponent; use inv explicitly")
-        if x == 0:
-            if e == 0:
-                raise ZeroToZero("0^0 is undefined here")
-            return 0
-        if self.d == 1:
-            return pow(x, e, self.p)
-        return self._exp[(self._log[x] * e) % (self.q - 1)]
+        """x^e through `power`, for e a nonnegative int or a digit vector
+        (taken as its integer value); 0^0 raises `ZeroToZero`."""
+        out = power(x, e, self.one, self.mul)
+        # 0^e is 1 only at e = 0
+        if x == 0 and out == self.one:
+            raise ZeroToZero("0^0 is undefined here")
+        return out
 
     # -- elementwise arithmetic on int64 arrays of elements ------------------
     #
@@ -387,16 +376,17 @@ class Field:
 
     def coeffs(self, x: int) -> list[int]:
         """Coefficient vector of x, low to high, length d."""
-        if self.d == 1:
-            return [x]
-        return self._coeffs_of(x)
+        p = self.p
+        out = []
+        for _ in range(self.d):
+            out.append(x % p)
+            x //= p
+        return out
 
     def from_coeffs(self, coeffs) -> int:
         coeffs = list(coeffs)
         if len(coeffs) != self.d:
             raise FieldMismatch(f"expected {self.d} coefficients, got {len(coeffs)}")
-        if self.d == 1:
-            return coeffs[0] % self.p
         return self._index_of(coeffs)
 
     def embed_int(self, c: int) -> int:

@@ -391,62 +391,21 @@ def interpolate(field, points, params: DecodeParams) -> BivariatePoly:
 # -- Roth-Ruckenstein y-root extraction ----------------------------------------------
 
 
-class _Rows:
-    """Roth-Ruckenstein steps on a dense (j, i) int64 array of field elements,
-    row j holding the x-coefficients of y^j."""
-
-    def __init__(self, field, J: int):
-        self.field = field
-        self.taylor = _Taylor(field, J, J)
-
-    @staticmethod
-    def load(Q: BivariatePoly):
-        grid = np.zeros((Q.y_degree() + 1, max(i for i, _ in Q.coeffs) + 1), dtype=np.int64)
-        for (i, j), c in Q.coeffs.items():
-            grid[j, i] = c
-        return grid
-
-    @staticmethod
-    def strip(cur):
-        nz = np.flatnonzero(cur.any(axis=0))
-        return cur[:, nz[0]:nz[-1] + 1]
-
-    @staticmethod
-    def section(cur) -> list:
-        return cur[:, 0].tolist()
-
-    def vanishes(self, cur, c) -> bool:
-        acc = cur[-1]
-        for row in cur[-2::-1]:
-            acc = self.field.vaxpy(row, c, acc)
-        return not acc.any()
-
-    def shift(self, cur, c):
-        # row s of Q(x, xy + c) is x^s sum_j C(j, s) c^(j-s) Q_j(x)
-        f = self.field
-        J, W = cur.shape
-        mixed = f.vmatmul(self.taylor.table(c), cur)
-        out = np.zeros((J, W + J - 1), dtype=np.int64)
-        for s in range(J):
-            out[s, s:s + W] = mixed[s]
-        return out
-
-
 def y_roots(Q: BivariatePoly, k: int | None = None,
             rng: random.Random | None = None) -> list[Poly]:
     """All t with deg t <= k and Q(x, t(x)) identically zero, sorted.
 
-    Roth-Ruckenstein recursion on Q's coefficients as a dense (j, i) int64
-    array of elements of Q's `ff.Field`, row j holding the x-coefficients of
-    y^j.  At each node the leading all-zero columns are dropped (Q / x^v),
-    the roots c of column 0, Q(0, y), are the candidates for the next
-    coefficient of t, and each branch goes on with Q(x, xy + c): the Taylor
-    matrix T[s][j] = C(j, s) c^(j-s) times the rows, row s then moved s
-    columns right.  At depth k a root is kept when the Horner pass Q(x, c)
-    over the rows is zero.  Sections go to `poly.roots` depth first, in root
-    order.  On a field small enough to walk (`poly._by_evaluation`) that
-    takes no draw from rng; on a larger one the draws do not depend on the
-    layout.
+    Roth-Ruckenstein recursion (Roth and Ruckenstein, IEEE IT 2000) on Q's
+    coefficients as a dense (j, i) int64 array of elements of Q's
+    `ff.Field`, row j holding the x-coefficients of y^j.  At each node the
+    leading all-zero columns are dropped (Q / x^v), the roots c of column 0,
+    Q(0, y), are the candidates for the next coefficient of t, and each
+    branch goes on with Q(x, xy + c): the Taylor matrix
+    T[s][j] = C(j, s) c^(j-s) times the rows, row s then moved s columns
+    right.  At depth k a root is kept when the Horner pass Q(x, c) over the
+    rows is zero.  Sections go to `poly.roots` depth first, in root order.
+    On a field small enough to walk (`poly._by_evaluation`) that takes no
+    draw from rng; on a larger one the draws do not depend on the layout.
     """
     if Q.is_zero():
         raise ValueError("y_roots needs a nonzero polynomial")
@@ -455,32 +414,40 @@ def y_roots(Q: BivariatePoly, k: int | None = None,
     if k < 0:
         raise ValueError("y_roots needs k >= 0")
     rng = rng if rng is not None else random.Random(0x27182818)
-    rows = _Rows(field, Q.y_degree() + 1)
-    found: list[tuple] = []
+    J = Q.y_degree() + 1
+    taylor = _Taylor(field, J, J)
+    grid = np.zeros((J, max(i for i, _ in Q.coeffs) + 1), dtype=np.int64)
+    for (i, j), c in Q.coeffs.items():
+        grid[j, i] = c
+    found: list[Poly] = []
 
     # y -> xy + c keeps a nonzero Q nonzero, and the strip leaves a nonzero
     # column 0, so every branch has a nonzero section Q(0, y)
     def rec(cur, depth: int, prefix: list):
-        cur = rows.strip(cur)
-        for c, _mult in _poly_roots(Poly(field, rows.section(cur)), rng):
+        nz = np.flatnonzero(cur.any(axis=0))
+        cur = cur[:, nz[0]:nz[-1] + 1]
+        for c, _mult in _poly_roots(Poly(field, cur[:, 0].tolist()), rng):
             if depth == k:
-                if rows.vanishes(cur, c):
-                    found.append(tuple(prefix) + (c,))
+                acc = cur[-1]
+                for row in cur[-2::-1]:
+                    acc = field.vaxpy(row, c, acc)
+                if not acc.any():
+                    found.append(Poly(field, prefix + [c]))
             else:
+                # row s of Q(x, xy + c) is x^s sum_j C(j, s) c^(j-s) Q_j(x)
+                mixed = field.vmatmul(taylor.table(c), cur)
+                W = cur.shape[1]
+                shifted = np.zeros((J, W + J - 1), dtype=np.int64)
+                for s in range(J):
+                    shifted[s, s:s + W] = mixed[s]
                 prefix.append(c)
-                rec(rows.shift(cur, c), depth + 1, prefix)
+                rec(shifted, depth + 1, prefix)
                 prefix.pop()
 
-    rec(rows.load(Q), 0, [])
-    out = []
-    seen = set()
-    for tup in found:
-        t = Poly(field, list(tup))
-        if t.coeffs not in seen:
-            seen.add(t.coeffs)
-            out.append(t)
-    out.sort(key=lambda t: t.sort_key())
-    return out
+    rec(grid, 0, [])
+    # no curve repeats: poly.roots gives each root once, so two branches
+    # differ at the depth where they split
+    return sorted(found, key=Poly.sort_key)
 
 
 def list_decode(field, points, k: int, A: int,

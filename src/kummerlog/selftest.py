@@ -304,7 +304,7 @@ CRITERIA = [
 ]
 
 
-def run(corrupt: str | None = None, out=print) -> int:
+def run(corrupt: str | None = None) -> int:
     """Run all criteria; print one line each; 0 iff everything passed."""
     failed = []
     t_start = time.perf_counter()
@@ -316,12 +316,12 @@ def run(corrupt: str | None = None, out=print) -> int:
             ok, detail = False, f"exception: {exc!r}"
         dt = time.perf_counter() - t0
         status = "PASS" if ok else "FAIL"
-        out(f"{status} criterion {num} ({name}): {detail} [{dt:.2f}s]")
+        print(f"{status} criterion {num} ({name}): {detail} [{dt:.2f}s]")
         if not ok:
             failed.append(num)
     total = time.perf_counter() - t_start
     if failed:
-        out(f"FAILED criteria: {failed} (total {total:.2f}s)")
+        print(f"FAILED criteria: {failed} (total {total:.2f}s)")
         return 1
-    out(f"all criteria passed (total {total:.2f}s)")
+    print(f"all criteria passed (total {total:.2f}s)")
     return 0

@@ -136,6 +136,13 @@ def test_pow_matches_repeated_multiplication(f5, f8):
             for e in range(64):
                 assert field.pow_(x, e) == acc
                 acc = field.mul(acc, x)
+    # exponents up to q^15, the size of ext_pow's, reduce mod q - 1
+    for field in (kl.build_field(2**31 - 1), kl.build_field(7, 2, rng_seed=1)):
+        for _ in range(30):
+            x, e = field.random_nonzero(rng), rng.randrange(field.q ** 15)
+            assert field.pow_(x, e) == field.pow_(x, e % (field.q - 1))
+            if field.d == 1:
+                assert field.pow_(x, e) == pow(x, e, field.p)
 
 
 def test_pow_digit_vector(f5):
@@ -211,9 +218,16 @@ def test_frobenius_fixes_field(f4, f8, f9):
             assert y == x
 
 
-def test_coeffs_roundtrip(f8):
-    for x in f8.elements():
-        assert f8.from_coeffs(f8.coeffs(x)) == x
+def test_coeffs_roundtrip(f8, f9, f31):
+    for field in (f8, f9, f31):
+        for x in field.elements():
+            assert len(field.coeffs(x)) == field.d
+            assert field.from_coeffs(field.coeffs(x)) == x
+        with pytest.raises(ff.FieldMismatch):
+            field.from_coeffs([0] * (field.d + 1))
+    # instance files may hold non-canonical ints
+    assert f31.from_coeffs([-1]) == 30
+    assert f31.from_coeffs([33]) == 2
 
 
 def test_validate(f5, f4):

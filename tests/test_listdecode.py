@@ -296,9 +296,44 @@ def _assert_y_roots_match(Q, k, seed):
     return got
 
 
+def _benchmark_size_qs():
+    """(Q, k) for the planted instances of
+    `test_interpolate_pinned_at_benchmark_sizes`, built the same way."""
+    contexts = [kl.build_kummer(kl.build_field(29), 7, 2, 1),
+                kl.build_artin_schreier(7, 1, 0),
+                kl.build_kummer(kl.build_field(29), 14, 2, 1),
+                kl.build_kummer(kl.build_field(31), 15, 3, 1),
+                kl.build_artin_schreier(11, 1, 0),
+                kl.build_kummer(kl.build_field(5, 2, rng_seed=1), 8, 6, 1)]
+    for i, ctx in enumerate(contexts):
+        n, q = ctx.degree, ctx.base.q
+        params = kl.select_params(n, max(1, digits.curve_degree_bound(n)), digits.agreement_bound(n))
+        rng = random.Random(30 + i)
+        for _ in range(2):
+            e = digits.sample_decodable(n, q, rng)
+            pts = kl.build_points(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)))
+            yield kl.interpolate(ctx.base, pts, params), params.k
+
+
 def test_y_roots_matches_reference_recursion(f8, f9):
     for n, (field, pts, params) in enumerate(_interpolation_corpus(f8, f9, 216)):
         _assert_y_roots_match(kl.interpolate(field, pts, params), params.k, n)
+    for n, (Q, k) in enumerate(_benchmark_size_qs()):
+        _assert_y_roots_match(Q, k, 300 + n)
+    # two degree-2 curves through 6 of 12 points each over F_{2^31 - 1}, where
+    # poly.roots splits the sections with draws from the rng
+    big = kl.build_field(2**31 - 1)
+    rng = random.Random(41)
+    ts = [Poly(big, [big.random_nonzero(rng) for _ in range(3)]) for _ in range(2)]
+    pts = [(x, ts[i % 2].eval(x)) for i, x in enumerate(rng.sample(range(big.q), 12))]
+    params = kl.select_params(12, 2, 6)
+    assert params.multiplicity == 3
+    Q = kl.interpolate(big, pts, params)
+    got = _assert_y_roots_match(Q, 2, 400)
+    assert {t.coeffs for t in ts} <= {t.coeffs for t in got}
+    rng = random.Random(400)
+    kl.y_roots(Q, 2, rng)
+    assert rng.getstate() != random.Random(400).getstate()
 
 
 def test_y_roots_matches_reference_on_known_roots(f8, f9):
