@@ -273,7 +273,7 @@ def cmd_bench(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .selftest import run
-    return run(corrupt=args.corrupt)
+    return run()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bench)
 
     t = sub.add_parser("selftest", help="run the acceptance checks at small scale")
-    t.add_argument("--corrupt", choices=["counting"], default=None,
-                   help=argparse.SUPPRESS)  # test hook
     t.set_defaults(func=cmd_selftest)
 
     return ap

@@ -193,6 +193,14 @@ def _sum_zero_counts(n: int, q: int, s_max: int) -> dict[tuple[int, int], int]:
     return state
 
 
+def _share(n: int, q: int, s_max: int, keep) -> Fraction:
+    """Exact share of the length-n vectors with digit sum <= s_max whose
+    (digit sum, zero count) satisfies keep, by the (sum, zero-count) DP."""
+    state = _sum_zero_counts(n, q, s_max)
+    hits = sum(cnt for (w, z), cnt in state.items() if keep(w, z))
+    return Fraction(hits, sum(state.values()))
+
+
 def tail_ratio(n: int, q: int) -> Fraction:
     """Exact share of bounded-sum digit vectors that are zero-heavy.
 
@@ -201,25 +209,20 @@ def tail_ratio(n: int, q: int) -> Fraction:
     (sum, zero-count) dynamic program.  This is not the list decoder's
     failure share; see `failure_share`.
     """
-    state = _sum_zero_counts(n, q, relaxed_sum_bound(n))
-    z_min = agreement_bound(n)
-    heavy = sum(cnt for (w, z), cnt in state.items() if z >= z_min)
-    return Fraction(heavy, sum(state.values()))
+    return _share(n, q, relaxed_sum_bound(n), lambda w, z: z >= agreement_bound(n))
 
 
 def nonzero_share(n: int, q: int, s_max: int, min_nonzero: int) -> Fraction:
     """Exact share of the length-n vectors with digit sum <= s_max that have
     at least min_nonzero nonzero digits, by the same (sum, zero-count) DP."""
-    state = _sum_zero_counts(n, q, min(s_max, n * (q - 1)))
-    hits = sum(cnt for (w, z), cnt in state.items() if n - z >= min_nonzero)
-    return Fraction(hits, sum(state.values()))
+    return _share(n, q, min(s_max, n * (q - 1)), lambda w, z: n - z >= min_nonzero)
 
 
-def _reaches(n: int, nonzero: int) -> bool:
-    """The decoder's agreement rule: the planted curve passes one point per
-    nonzero digit, and the decoder finds every curve through at least
-    ceil(0.5657 n) of the n points."""
-    return nonzero >= agreement_bound(n)
+def _reaches(n: int, w: int, nonzero: int) -> bool:
+    """`decodable`'s rule for a length-n vector with digit sum w: the read-off
+    covers w <= n, and the decoder every curve through ceil(0.5657 n) of the
+    n points, which the planted curve meets once per nonzero digit."""
+    return w <= n or nonzero >= agreement_bound(n)
 
 
 def decodable(e: ExponentDigits) -> bool:
@@ -228,8 +231,7 @@ def decodable(e: ExponentDigits) -> bool:
     The direct read-off covers digit sums up to n, and the decoder every e
     with at least ceil(0.5657 n) nonzero digits.
     """
-    n = len(e)
-    return e.digit_sum() <= n or _reaches(n, e.nonzero_count())
+    return _reaches(len(e), e.digit_sum(), e.nonzero_count())
 
 
 def sample_decodable(n: int, q: int, rng: random.Random) -> ExponentDigits:
@@ -240,7 +242,7 @@ def sample_decodable(n: int, q: int, rng: random.Random) -> ExponentDigits:
     table = count_table(n, q, bound)
     while True:
         e = sample_bounded_sum(n, q, bound, rng, table)
-        if _reaches(n, e.nonzero_count()):
+        if e.nonzero_count() >= agreement_bound(n):
             return e
 
 
@@ -252,6 +254,4 @@ def failure_share(n: int, q: int) -> Fraction:
     Same exact DP as `tail_ratio`; at digit sum 1.32 n this set grows at
     rate 4.8838...
     """
-    state = _sum_zero_counts(n, q, relaxed_sum_bound(n))
-    bad = sum(cnt for (w, z), cnt in state.items() if w > n and not _reaches(n, n - z))
-    return Fraction(bad, sum(state.values()))
+    return _share(n, q, relaxed_sum_bound(n), lambda w, z: not _reaches(n, w, n - z))

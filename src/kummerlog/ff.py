@@ -139,8 +139,6 @@ def factorize(m: int, rng: random.Random | None = None) -> list[int]:
     stack = [m] if m > 1 else []
     while stack:
         v = stack.pop()
-        if v == 1:
-            continue
         if is_prime(v):
             out.append(v)
             continue

@@ -232,7 +232,8 @@ def meet_in_middle_binary(g, y, n: int, w: int) -> int:
 
     Simplified half-split baseline: digit positions are split into two fixed
     halves and only left weights within +-1 of floor(w/2) are enumerated, so
-    exponents whose 1s are very unevenly split raise NotFound.
+    exponents whose 1s are very unevenly split raise NotFound.  One subset
+    loop yields (g^e, e) for each left weight's table and its right matches.
     """
     identity = g.pow_int(0)
     if w == 0:
@@ -246,26 +247,20 @@ def meet_in_middle_binary(g, y, n: int, w: int) -> int:
     half = w // 2
     weights = [wl for wl in (half - 1, half, half + 1)
                if max(0, w - len(right)) <= wl <= min(w, len(left))]
-    tables: dict[int, dict] = {}
-    for wl in weights:
-        table: dict = {}
-        for combo in itertools.combinations(left, wl):
+
+    def subsets(positions, weight):
+        for combo in itertools.combinations(positions, weight):
             el = identity
-            e_left = 0
             for i in combo:
                 el = el * gpows[i]
-                e_left += q ** i
-            table.setdefault(el, e_left)
-        tables[wl] = table
-    # match only weight-consistent pairs: left weight wl with right weight w - wl
+            yield el, sum(q ** i for i in combo)
+
     for wl in weights:
-        table = tables[wl]
-        for combo in itertools.combinations(right, w - wl):
-            er = identity
-            e_right = 0
-            for i in combo:
-                er = er * gpows[i]
-                e_right += q ** i
+        table: dict = {}
+        for el, e_left in subsets(left, wl):
+            table.setdefault(el, e_left)
+        # match only weight-consistent pairs: left weight wl with right weight w - wl
+        for er, e_right in subsets(right, w - wl):
             need = y * er.inv()
             e_left = table.get(need)
             if e_left is not None:

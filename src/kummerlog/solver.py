@@ -206,7 +206,7 @@ def solve_listdecode(inst: DlpInstance, rng: random.Random | None = None) -> Sol
     return out
 
 
-def _solve_fallback(inst: DlpInstance, budget: oracle.GroupBudget) -> SolveOutcome:
+def _solve_fallback(inst: DlpInstance, budget: oracle.GroupBudget | None) -> SolveOutcome:
     """Pohlig-Hellman over ord(g), which the context factors on its first fallback."""
     ctx = inst.ctx
     try:
@@ -222,27 +222,24 @@ def _solve_fallback(inst: DlpInstance, budget: oracle.GroupBudget) -> SolveOutco
 def solve_auto(inst: DlpInstance, w_hint: int | None = None,
                rng: random.Random | None = None,
                budget: oracle.GroupBudget | None = None) -> SolveOutcome:
-    """Strategy dispatch: the candidate pipeline (direct read-off, boundary,
-    decoded curves), then the generic fallback, Pohlig-Hellman over ord(g).
+    """Try the candidate pipeline (direct read-off, boundary, decoded curves),
+    then the generic fallback, Pohlig-Hellman over ord(g); a w_hint (claimed
+    digit-sum bound) above floor(1.32 n) reverses that order.  When both fail,
+    Unsolvable says "all strategies failed; last error: <the later failure>".
 
     The fallback returns the least exponent, e mod ord(g).  It needs q^n - 1
     below `oracle.FACTOR_GUARD` and ceil(sqrt(r)) within
-    `budget.max_baby_steps` for the largest prime r of ord(g); otherwise, or
-    when the target is not a power of g, it raises Unsolvable.  w_hint (a
-    claimed digit-sum bound) only decides whether the fallback runs first,
-    which it does above floor(1.32 n); both still run before giving up.
+    `budget.max_baby_steps` for the largest prime r of ord(g), and a target
+    that is a power of g.
     """
     rng = rng if rng is not None else random.Random(0xA070)
-    budget = budget if budget is not None else oracle.GroupBudget()
-    fallback_first = w_hint is not None and w_hint > relaxed_sum_bound(inst.ctx.degree)
-    if fallback_first:
+    strategies = [lambda: _read_off(inst, rng, relaxed=True),
+                  lambda: _solve_fallback(inst, budget)]
+    if w_hint is not None and w_hint > relaxed_sum_bound(inst.ctx.degree):
+        strategies.reverse()
+    for strategy in strategies:
         try:
-            return _solve_fallback(inst, budget)
-        except Unsolvable:
-            pass
-    try:
-        return _read_off(inst, rng, relaxed=True)
-    except ReadOffFailed as exc:
-        if fallback_first:
-            raise Unsolvable(f"all strategies failed; last error: {exc}") from exc
-    return _solve_fallback(inst, budget)
+            return strategy()
+        except (ReadOffFailed, Unsolvable) as exc:
+            failure = exc
+    raise Unsolvable(f"all strategies failed; last error: {failure}") from failure

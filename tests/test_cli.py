@@ -383,12 +383,16 @@ def test_bench_propagates_internal_faults(monkeypatch):
         bench.run_bench("small", 1, 0)
 
 
-def test_selftest_corrupt_hook_names_criterion(capsys):
-    code = main(["selftest", "--corrupt", "counting"])
+def test_selftest_corrupt_hook_names_criterion(monkeypatch, capsys):
+    from kummerlog import selftest
+
+    count_N = selftest.count_N
+    monkeypatch.setattr(selftest, "count_N", lambda w, n, q: count_N(w, n, q) + 1)
+    code = main(["selftest"])
     out = capsys.readouterr().out
     assert code == 1
     assert any("FAIL criterion 4" in line for line in out.splitlines())
-    # a mistyped hook is refused, not run as a green selftest
+    # the selftest has no hook flag: one is refused, not run as a green selftest
     with pytest.raises(SystemExit) as exc:
-        main(["selftest", "--corrupt", "countng"])
+        main(["selftest", "--corrupt", "counting"])
     assert exc.value.code == 2

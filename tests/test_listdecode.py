@@ -438,6 +438,58 @@ def test_list_decode_completeness_extension_field(f4, f9):
                     assert t.coeffs in found
 
 
+def _lagrange(p, pts):
+    """Coefficients, low to high, of the curve of degree < len(pts) through
+    pts over F_p, by Lagrange's formula."""
+    coeffs = [0] * len(pts)
+    for i, (xi, yi) in enumerate(pts):
+        basis, denom = [1], 1
+        for j, (xj, _) in enumerate(pts):
+            if j != i:
+                basis = [(a - xj * b) % p for a, b in zip([0] + basis, basis + [0])]
+                denom = denom * (xi - xj) % p
+        scale = yi * pow(denom, -1, p) % p
+        coeffs = [(c + scale * b) % p for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def _horner(p, coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+@pytest.mark.parametrize("q, n, k, A", [(31, 15, 4, 9), (29, 14, 4, 8)])
+def test_list_decode_complete_at_benchmark_sizes(q, n, k, A):
+    # a curve of degree <= k through >= A of the points passes through some
+    # k + 1 of them, so interpolating every (k + 1)-subset lists every curve
+    # that list_decode must return
+    field = kl.build_field(q)
+    for seed in range(4):
+        rng = random.Random(seed)
+        xs = rng.sample(range(q), n)
+        ys = [rng.randrange(q) for _ in range(n)]
+        planted = [_lagrange(q, list(zip(xs, ys))[:k + 1])]
+        ys[:A] = [_horner(q, planted[0], x) for x in xs[:A]]
+        if seed % 2:
+            # a second curve through 2A - n of the first one's points and the
+            # other n - A, so it too meets A points
+            pts = list(zip(xs, ys))
+            planted.append(_lagrange(q, pts[n - A:A] + pts[A:A + k + 1 - (2 * A - n)]))
+            ys[A:] = [_horner(q, planted[1], x) for x in xs[A:]]
+        pts = list(zip(xs, ys))
+        rng.shuffle(pts)
+        want = set()
+        for subset in itertools.combinations(pts, k + 1):
+            coeffs = _lagrange(q, subset)
+            if sum(_horner(q, coeffs, x) == y for x, y in pts) >= A:
+                want.add(Poly(field, coeffs).coeffs)
+        assert len({Poly(field, c).coeffs for c in planted} & want) == len(planted) == 1 + seed % 2
+        got = {t.coeffs for t in kl.list_decode(field, pts, k, A, rng)}
+        assert want <= got
+
+
 def test_list_decode_constants_k0(f7):
     rng = random.Random(17)
     pts = [(x, 3 if x < 4 else x % 3) for x in range(7)]

@@ -242,8 +242,9 @@ def test_solve_auto_fallback(kummer54):
 
 def test_solve_auto_fallback_outside_the_subgroup(kummer54):
     # ord(g) = 312 < 624 and alpha has order 16, so no exponent reaches it
-    with pytest.raises(solver.Unsolvable, match="not a power of g"):
+    with pytest.raises(solver.Unsolvable, match="not a power of g") as exc:
         kl.solve_auto(kl.DlpInstance(kummer54, kummer54.alpha), rng=random.Random(37))
+    assert "all strategies failed" in str(exc.value)
 
 
 def test_solve_auto_fallback_budget(f31):
