@@ -273,7 +273,7 @@ def cmd_bench(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .selftest import run
-    return run()
+    return EXIT_SELFTEST if run() else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,11 +11,11 @@ involved.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-TAIL_DP_GUARD = 7 * 10**6  # about 1 s of the (sum, zero-count) DP on a 2-vCPU Xeon VM
 COUNT_DP_GUARD = 10**6
 
 
@@ -143,10 +143,7 @@ def sample_bounded_sum(n: int, q: int, s_max: int, rng: random.Random,
     digits = []
     s = s_max
     for m in range(n, 0, -1):
-        total = table.cumulative(s, m)
-        if total <= 0:
-            raise EmptySet("no digit vectors under the given bound")
-        r = rng.randrange(total)
+        r = rng.randrange(table.cumulative(s, m))
         c = 0
         while True:
             w = table.cumulative(s - c, m - 1)
@@ -174,47 +171,45 @@ def curve_degree_bound(n: int) -> int:
     return 8 * n // 25
 
 
-def _sum_zero_counts(n: int, q: int, s_max: int) -> dict[tuple[int, int], int]:
-    """Bounded-sum vectors by (digit sum, zero count), for sums <= s_max."""
-    if n < 1 or q < 2:
-        raise ValueError("need n >= 1, q >= 2")
-    # steps x sums x zero counts x digits tried per state
-    size = n * (s_max + 1) * (n + 1) * min(q, s_max + 1)
-    if size > TAIL_DP_GUARD:
-        raise TooLarge(f"DP size {size} exceeds guard {TAIL_DP_GUARD}")
-    state = {(0, 0): 1}
-    for _ in range(n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (w, z), cnt in state.items():
-            for dgt in range(0, min(q - 1, s_max - w) + 1):
-                key = (w + dgt, z + (dgt == 0))
-                nxt[key] = nxt.get(key, 0) + cnt
-        state = nxt
-    return state
-
-
 def _share(n: int, q: int, s_max: int, keep) -> Fraction:
     """Exact share of the length-n vectors with digit sum <= s_max whose
-    (digit sum, zero count) satisfies keep, by the (sum, zero-count) DP."""
-    state = _sum_zero_counts(n, q, s_max)
-    hits = sum(cnt for (w, z), cnt in state.items() if keep(w, z))
-    return Fraction(hits, sum(state.values()))
+    (digit sum, zero count) satisfies keep.
+
+    The vectors with m nonzero digits and digit sum w are C(n, m) choices of
+    places times the m-vectors of digits in [1, q-1] with sum w; lowering
+    each digit by one makes these the m-vectors in base q - 1 with sum w - m,
+    which is row m of `_next_row`'s recurrence there.
+    """
+    if n < 1 or q < 2:
+        raise ValueError("need n >= 1, q >= 2")
+    if s_max < 0:
+        raise EmptySet("negative sum bound")
+    if n * (s_max + 1) > COUNT_DP_GUARD:
+        raise TooLarge(f"n*(s+1) = {n * (s_max + 1)} exceeds DP guard {COUNT_DP_GUARD}")
+    hits = total = 0
+    row = [1] + [0] * s_max
+    for m in range(min(n, s_max) + 1):  # m nonzero digits sum to at least m
+        ways = math.comb(n, m)
+        hits += ways * sum(row[w - m] for w in range(m, s_max + 1) if keep(w, n - m))
+        total += ways * sum(row[:s_max + 1 - m])
+        row = _next_row(row, q - 1)
+    return Fraction(hits, total)
 
 
 def tail_ratio(n: int, q: int) -> Fraction:
     """Exact share of bounded-sum digit vectors that are zero-heavy.
 
     Over all length-n vectors with digit sum <= floor(1.32 n), the fraction
-    having at least ceil(0.5657 n) zero digits, as an exact rational via a
-    (sum, zero-count) dynamic program.  This is not the list decoder's
-    failure share; see `failure_share`.
+    having at least ceil(0.5657 n) zero digits, as an exact rational counted
+    by `_share`.  This is not the list decoder's failure share; see
+    `failure_share`.
     """
     return _share(n, q, relaxed_sum_bound(n), lambda w, z: z >= agreement_bound(n))
 
 
 def nonzero_share(n: int, q: int, s_max: int, min_nonzero: int) -> Fraction:
     """Exact share of the length-n vectors with digit sum <= s_max that have
-    at least min_nonzero nonzero digits, by the same (sum, zero-count) DP."""
+    at least min_nonzero nonzero digits, counted by `_share`."""
     return _share(n, q, min(s_max, n * (q - 1)), lambda w, z: n - z >= min_nonzero)
 
 
@@ -251,7 +246,7 @@ def failure_share(n: int, q: int) -> Fraction:
 
     Over all length-n vectors with digit sum <= floor(1.32 n), the fraction
     that `decodable` rejects: digit sum above n and too few nonzero digits.
-    Same exact DP as `tail_ratio`; at digit sum 1.32 n this set grows at
-    rate 4.8838...
+    Counted by `_share` like `tail_ratio`; at digit sum 1.32 n this set grows
+    at rate 4.8838...
     """
     return _share(n, q, relaxed_sum_bound(n), lambda w, z: not _reaches(n, w, n - z))

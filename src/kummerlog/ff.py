@@ -191,8 +191,6 @@ class Field:
             if modulus is not None:
                 raise DegreeMismatch("prime field takes no modulus")
             self.modulus = None
-            self._exp = self._log = self._add_table = self._neg_table = None
-            self._vexp = self._vlog = self._vadd_table = self._powers_of_p = None
             # residues below p plus t products of two of them stay below 2^63
             self.lazy_steps = ((1 << 63) - p) // (p - 1) ** 2
         else:
@@ -230,12 +228,11 @@ class Field:
         prime = Field(p)
         mod, one = Poly(prime, self.modulus), Poly.one(prime)
         order_factors = set(factorize(q - 1))
+        # a reducible modulus stops the search too: no power of a zero divisor is 1
         for g in range(2, q):
             gen = Poly(prime, self.coeffs(g))
             if all(powmod(gen, (q - 1) // r, mod) != one for r in order_factors):
                 break
-        else:  # pragma: no cover - a primitive element always exists
-            raise ReducibleModulus("no primitive element found; modulus is reducible")
         # multiplying by gen is a fixed d x d matrix over F_p (column j is
         # gen * x^j), so the coefficient vectors of gen^0 .. gen^(q-1) fill
         # by doubling: each block is gen^B times the B powers before it
@@ -435,9 +432,7 @@ def build_field(p: int, d: int = 1, modulus=None, rng_seed: int = 0) -> Field:
     if d < 1:
         raise DegreeMismatch("extension degree must be >= 1")
     if d == 1:
-        if modulus is not None:
-            raise DegreeMismatch("prime field takes no modulus")
-        return Field(p)
+        return Field(p, 1, modulus)
     # before any modulus search; q <= 2^20 needs d <= 20, so p^d stays small
     if d >= ENUM_LIMIT.bit_length() or p ** d > ENUM_LIMIT:
         raise TooLarge(f"extension field {p}^{d} exceeds table guard {ENUM_LIMIT}")

@@ -221,7 +221,6 @@ def exhaustive_dlp_bounded(ctx, target, s_max: int, budget: int = 10**7) -> list
                 val = val * conj[i]
             prefix[i] = c
             rec(i + 1, remaining - c, val)
-        prefix[i] = 0
 
     rec(0, s_max, ctx.one_element)
     return found

@@ -138,14 +138,9 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        if isinstance(f, ff.Field) and f.d == 1:
-            p = f.p
-            for i, c in enumerate(b):
-                out[i] = (out[i] + c) % p
-        else:
-            add = f.add
-            for i, c in enumerate(b):
-                out[i] = add(out[i], c)
+        add = f.add
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
         return Poly(f, out)
 
     def __neg__(self):

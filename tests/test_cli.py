@@ -268,12 +268,15 @@ def test_count_guard_exit2_fast(capsys):
 
 
 def test_count_tail_ratio_guard_exit2_fast(capsys):
-    # n*q = 40000 passes a guard on n*q, but the (sum, zero-count) DP
-    # at (200, 200) would run for minutes
+    # n*(s+1) = 1000*1321 passes 10^6, so the share is refused before it starts
     t0 = time.perf_counter()
-    assert main(["count", "--tail-ratio", "--n", "200", "--q", "200"]) == 2
+    assert main(["count", "--tail-ratio", "--n", "1000", "--q", "1000"]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "TooLarge" in capsys.readouterr().err
+    # (200, 200) is within the guard and answered quickly
+    t0 = time.perf_counter()
+    assert main(["count", "--tail-ratio", "--n", "200", "--q", "200"]) == 0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_order_refuses_a_large_prime_fast(capsys):
@@ -357,6 +360,10 @@ def test_bench_small_suite(tmp_path):
     assert int(by_key[("bsgs_dlp", "5")][5]) == 3
     assert int(by_key[("meet_in_middle_binary", "5")][5]) == 3
     assert int(by_key[("solve_listdecode", "31")][5]) == 3
+
+
+def test_bench_unwritable_csv_exits_3(tmp_path):
+    assert main(["bench", "--trials", "1", "--csv", str(tmp_path / "missing" / "b.csv")]) == 3
 
 
 def test_bench_medium_suite(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,29 @@ def test_nonzero_share_enumeration_oracle(s_max):
         assert dg.nonzero_share(4, 5, s_max, need) == Fraction(hits, len(vs))
 
 
+def test_empty_share_is_refused():
+    # a negative sum bound leaves no vectors to take a share of
+    for s_max, need in ((-1, 0), (-3, 2)):
+        with pytest.raises(dg.EmptySet, match="negative sum bound"):
+            dg.nonzero_share(4, 5, s_max, need)
+
+
+def test_digit_refusals():
+    with pytest.raises(ValueError, match="nonnegative"):
+        kl.ExponentDigits.from_int(-1, 5, 3)
+    assert kl.count_N(13, 3, 5) == 0  # above n(q-1) = 12
+    assert dg.count_table(3, 5, 4).cumulative(-1, 2) == 0
+    with pytest.raises(ValueError):
+        dg.count_table(-1, 5, 3)
+    with pytest.raises(ValueError, match="q >= 2"):
+        kl.count_N(1, 2, 1)
+    with pytest.raises(dg.EmptySet, match="negative sum bound"):
+        dg.sample_bounded_sum(4, 5, -1, random.Random(0))
+    for n, q in ((0, 5), (4, 1)):
+        with pytest.raises(ValueError, match="n >= 1, q >= 2"):
+            kl.tail_ratio(n, q)
+
+
 def test_failure_share_pinned_values():
     assert dg.failure_share(6, 31) == Fraction(3, 13)
     assert dg.failure_share(15, 31) == Fraction(173622677, 371193504)
@@ -157,12 +181,15 @@ def test_tail_ratio_monotone():
 
 
 def test_tail_ratio_guard():
+    # the guard is count_N's, on n*(s+1) for s = floor(1.32 n), not on n*q
     with pytest.raises(dg.TooLarge):
         kl.tail_ratio(2000, 1000)
-    # the guard is on the DP's size, not on n*q
-    for n, q in ((80, 80), (200, 200), (1000, 1000), (120, 5)):
-        with pytest.raises(dg.TooLarge):
-            dg.failure_share(n, q)
+    with pytest.raises(dg.TooLarge):
+        dg.failure_share(1000, 1000)
+    for n, q in ((80, 80), (200, 200), (120, 5)):
+        t0 = time.perf_counter()
+        assert 0 < dg.failure_share(n, q) < 1
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_count_N_guard_and_table_agreement():

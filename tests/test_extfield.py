@@ -261,3 +261,18 @@ def test_embed_errors(kummer54):
     f7 = kl.build_field(7)
     with pytest.raises(extfield.ContextMismatch):
         kl.embed_from_prime_model(kummer54, Poly(f7, [3, 0, 0, 0, 1]), rng)
+    rho, psi = kl.embed_from_prime_model(kummer54, Poly(prime, [3, 0, 0, 0, 1]), rng)
+    with pytest.raises(extfield.ContextMismatch, match="prime field"):
+        psi(Poly(f7, [0, 1]))
+
+
+def test_context_refusals(f5, f9, kummer3115):
+    with pytest.raises(extfield.ContextMismatch, match="ff.Field"):
+        extfield.KummerContext(5, 4, 2, 1)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        extfield.KummerContext(f5, 1, 2, 1)
+    with pytest.raises(extfield.ContextMismatch, match="prime field"):
+        extfield.ASContext(f9, 1, 0)
+    # 31^15 elements are far past the enumeration guard
+    with pytest.raises(ff.TooLarge):
+        extfield._ExtFieldView(kummer3115).elements()

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import random
 import time
 
@@ -8,6 +9,7 @@ import pytest
 
 import kummerlog as kl
 from kummerlog import ff
+from kummerlog.poly import Poly
 
 
 def test_build_prime_field(f5):
@@ -48,6 +50,24 @@ def test_build_field_errors():
         kl.build_field(5, 1, [1, 1])
     with pytest.raises(ff.TooLarge):
         kl.build_field(2147483659)  # first prime at or above 2^31
+    with pytest.raises(ff.NotPrime):
+        kl.build_field(5.0)
+    # the constructor itself checks the modulus' shape
+    with pytest.raises(ff.DegreeMismatch, match="monic of degree d"):
+        ff.Field(5, 2, (1, 2))
+
+
+def test_field_refuses_every_reducible_modulus():
+    # the primitive-element search always stops, at the latest at a zero
+    # divisor, whose powers never reach 1; the group order then refuses it
+    for p, d in ((2, 2), (2, 3), (3, 2), (5, 2)):
+        for low in itertools.product(range(p), repeat=d):
+            modulus = tuple(low) + (1,)
+            if kl.is_irreducible(Poly(ff.Field(p), list(modulus))):
+                assert ff.Field(p, d, modulus).q == p ** d
+            else:
+                with pytest.raises(ff.ReducibleModulus, match="wrong order"):
+                    ff.Field(p, d, modulus)
 
 
 def test_build_field_refuses_a_large_prime_at_once():

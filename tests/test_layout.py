@@ -7,10 +7,15 @@ from pathlib import Path
 import kummerlog as kl
 
 
+def _modules():
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(Path(kl.__file__).parent.glob("*.py"))}
+
+
 def _references(tree):
     """Every name a node reads: identifiers, attributes and imported names."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -21,8 +26,7 @@ def _references(tree):
 def test_no_orphaned_private_helper():
     # a private function, class or method that nothing outside its own body
     # refers to is dead code that a deletion left behind
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(Path(kl.__file__).parent.glob("*.py"))}
+    trees = _modules()
     refs = Counter(name for tree in trees.values() for name in _references(tree))
     defs = [(module, node) for module, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -31,6 +35,26 @@ def test_no_orphaned_private_helper():
     orphans = [f"{module}: {node.name}" for module, node in defs
                if refs[node.name] == Counter(_references(node))[node.name]]
     assert orphans == []
+
+
+def test_no_module_constant_that_nothing_reads():
+    # a module-level name that no code reads is a setting left behind, such
+    # as the size guard of a deleted algorithm
+    trees = _modules()
+    refs = {name for tree in trees.values() for name in _references(tree)}
+    consts = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            consts += [(module, name.id) for target in targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name) and not name.id.startswith("__")]
+    assert len(consts) > 20
+    assert [f"{module}: {name}" for module, name in consts if name not in refs] == []
 
 
 def test_no_private_setting_that_nobody_sets():

@@ -12,6 +12,7 @@ from kummerlog.ff import FieldMismatch
 from kummerlog.poly import Poly, roots
 
 from bivariate_reference import eval_y, evaluate, hasse_eval, mul, vanishes_to_order, y_minus
+from module_reference import least_element
 
 
 def test_select_params_examples():
@@ -29,6 +30,8 @@ def test_select_params_examples():
     # A^2 = kn + 1 needs m > kn = 624, past the multiplicity cap
     with pytest.raises(ld.NoSolution):
         kl.select_params(156, 4, 25)
+    with pytest.raises(ValueError, match="n_points >= 1"):
+        kl.select_params(0, 1, 1)
 
 
 def test_select_params_invariant():
@@ -78,6 +81,11 @@ def test_interpolate_rejects_repeated_x(f7):
         kl.interpolate(f7, [(1, 2), (1, 3)], params)
 
 
+def test_interpolate_rejects_params_for_another_point_count(f7):
+    with pytest.raises(ValueError, match="point count"):
+        kl.interpolate(f7, [(1, 2), (2, 3), (3, 4)], kl.select_params(2, 1, 2))
+
+
 def test_interpolate_rejects_non_field_coordinates(f7, f9):
     # 8 = 1 in GF(7) would pass the distinct-x check; 20 is past F_9
     params = kl.select_params(2, 1, 2)
@@ -112,6 +120,15 @@ def test_interpolate_pinned_at_benchmark_sizes():
             digest.update(repr(sorted(Q.coeffs.items())).encode())
     assert mults == [8, 8, 8, 3, 3, 2]
     assert digest.hexdigest() == "57afca5ff4b9c601210cb23b94e61b8d478a5da1f05af586d69007fea3433357"
+
+
+def test_interpolate_matches_module_reference_at_benchmark_sizes():
+    # Q is the interpolation module's unique monic element with the least
+    # leading monomial, so reducing the module's basis must give it bit for bit
+    instances = list(_benchmark_size_instances())
+    assert len(instances) == 12
+    for field, pts, params in instances:
+        assert kl.interpolate(field, pts, params).coeffs == least_element(field, pts, params)
 
 
 def test_interpolate_generic_field_path(f9):
@@ -296,8 +313,8 @@ def _assert_y_roots_match(Q, k, seed):
     return got
 
 
-def _benchmark_size_qs():
-    """(Q, k) for the planted instances of
+def _benchmark_size_instances():
+    """(field, points, params) for the planted instances of
     `test_interpolate_pinned_at_benchmark_sizes`, built the same way."""
     contexts = [kl.build_kummer(kl.build_field(29), 7, 2, 1),
                 kl.build_artin_schreier(7, 1, 0),
@@ -312,14 +329,14 @@ def _benchmark_size_qs():
         for _ in range(2):
             e = digits.sample_decodable(n, q, rng)
             pts = kl.build_points(kl.DlpInstance(ctx, kl.encode_digits(ctx, e)))
-            yield kl.interpolate(ctx.base, pts, params), params.k
+            yield ctx.base, pts, params
 
 
 def test_y_roots_matches_reference_recursion(f8, f9):
     for n, (field, pts, params) in enumerate(_interpolation_corpus(f8, f9, 216)):
         _assert_y_roots_match(kl.interpolate(field, pts, params), params.k, n)
-    for n, (Q, k) in enumerate(_benchmark_size_qs()):
-        _assert_y_roots_match(Q, k, 300 + n)
+    for n, (field, pts, params) in enumerate(_benchmark_size_instances()):
+        _assert_y_roots_match(kl.interpolate(field, pts, params), params.k, 300 + n)
     # two degree-2 curves through 6 of 12 points each over F_{2^31 - 1}, where
     # poly.roots splits the sections with draws from the rng
     big = kl.build_field(2**31 - 1)

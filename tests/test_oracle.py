@@ -55,6 +55,11 @@ def test_bsgs_returns_least_exponent(f5):
     assert kl.bsgs_dlp(g, FieldUnit(f5, 4), 100) == 1
 
 
+def test_bsgs_refuses_an_empty_order_bound(f5):
+    with pytest.raises(ValueError, match="order_bound"):
+        kl.bsgs_dlp(FieldUnit(f5, 2), FieldUnit(f5, 3), 0)
+
+
 def test_bsgs_not_in_subgroup(f5):
     g = FieldUnit(f5, 4)  # powers are {1, 4}
     with pytest.raises(oracle.NotInSubgroup):
@@ -131,6 +136,10 @@ def test_exhaustive_dlp_zero_bound(kummer54):
     assert [tuple(e) for e in found] == [(0, 0, 0, 0)]
 
 
+def test_exhaustive_dlp_negative_bound(kummer54):
+    assert kl.exhaustive_dlp_bounded(kummer54, kummer54.one_element, -1) == []
+
+
 def test_exhaustive_dlp_budget(kummer3115):
     with pytest.raises(oracle.BudgetExceeded):
         kl.exhaustive_dlp_bounded(kummer3115, kummer3115.one_element, 15, budget=1000)
@@ -178,6 +187,10 @@ def test_meet_in_middle_slack_violation(f7):
 def test_meet_in_middle_wrong_weight(kummer54):
     with pytest.raises(oracle.NotFound):
         kl.meet_in_middle_binary(kummer54.generator, kummer54.one_element, 4, 1)
+    # weight 0 claims y = 1
+    alpha = kummer54.element([0, 1, 0, 0])
+    with pytest.raises(oracle.NotFound, match="weight 0"):
+        kl.meet_in_middle_binary(kummer54.generator, alpha, 4, 0)
 
 
 def test_factorize_basic():

@@ -197,6 +197,12 @@ def test_is_irreducible_examples(f5):
     assert all(f.eval(c) != 0 for c in range(5))
     for b0, b1 in itertools.product(range(5), repeat=2):
         assert not (f % P(f5, b0, b1, 1)).is_zero()
+    with pytest.raises(ValueError, match="degree >= 1"):
+        kl.is_irreducible(P(f5, 3))
+
+
+def test_repr_of_zero(f5):
+    assert repr(Poly.zero(f5)) == "0"
 
 
 def test_factor_round_trip_500(f5, f7, f4, f8, f9):

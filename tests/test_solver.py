@@ -8,6 +8,7 @@ from kummerlog import oracle, solver
 from kummerlog.digits import (agreement_bound, curve_degree_bound, decodable, failure_share,
                               relaxed_sum_bound, sample_decodable)
 from kummerlog.extfield import ContextMismatch
+from kummerlog.poly import Poly
 
 
 def _instance(ctx, digits):
@@ -88,6 +89,16 @@ def test_solve_bounded_lc_mismatch(kummer54):
     target = kummer54.element([3, 2])
     with pytest.raises((solver.NotSplit, solver.RootNotInTable)):
         kl.solve_bounded(kl.DlpInstance(kummer54, target))
+
+
+def test_read_off_refuses_a_multiplicity_past_the_digits(kummer54):
+    # a digit is below q = 5, so (x - x_0)^5 reads off no digit vector
+    base = kummer54.base
+    F = Poly.one(base)
+    for _ in range(5):
+        F = F * Poly(base, [base.neg(kummer54.point_xs[0]), base.one])
+    with pytest.raises(solver.RootNotInTable, match="multiplicity 5 exceeds the digit range"):
+        solver._read_digits(kummer54, F, random.Random(0))
 
 
 def test_read_off_failures_are_one_type(kummer54):
